@@ -160,12 +160,13 @@ func TestApproximateAnswersChernoff(t *testing.T) {
 
 // TestApproximateAnswersDrawReduction: the shared pass must consume
 // well under the per-tuple path's total draws — with 4 equally hard
-// tuples, at least half the per-tuple factor.
+// tuples, at least half the per-tuple factor. M^us samples both paths;
+// M^ur answers this fixture from the product form with zero draws.
 func TestApproximateAnswersDrawReduction(t *testing.T) {
 	inst, q := answersFixture(t)
 	p := inst.Prepare()
 	ctx := context.Background()
-	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
+	mode := ocqa.Mode{Gen: ocqa.UniformSequences}
 	opts := ocqa.ApproxOptions{Epsilon: 0.1, Delta: 0.05, Seed: 3, Workers: 1}
 
 	tuples := q.Answers(inst.DB())

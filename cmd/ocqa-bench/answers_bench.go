@@ -12,7 +12,10 @@ package main
 // The fixture is a symmetric multi-answer query: K values cyclically
 // shared across 2-fact key blocks, so every tuple has the same
 // survival probability and the per-tuple stopping points coincide —
-// the regime where the shared pass saves a full factor K of draws.
+// the regime where the shared pass saves a full factor K of draws. It
+// runs under M^us: under M^ur every candidate's clusters enumerate, so
+// both paths answer from the product form with zero draws and neither
+// would reach the shared pass.
 
 import (
 	"context"
@@ -29,6 +32,10 @@ import (
 type answersBenchFile struct {
 	Suite string `json:"suite"`
 	benchStamp
+	// Generator is the mode both paths estimate under; Route is the
+	// plan route of the shared pass (must be shared-multi-dklr).
+	Generator string `json:"generator"`
+	Route     string `json:"route"`
 	// Facts/Tuples describe the bench instance: Tuples is K, the
 	// number of candidate answer tuples sharing the pass.
 	Facts   int     `json:"facts"`
@@ -123,10 +130,17 @@ func runAnswersBenchmarks(outPath string) error {
 	if err != nil {
 		return err
 	}
-	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
+	mode := ocqa.Mode{Gen: ocqa.UniformSequences}
 	ctx := context.Background()
 	opts := ocqa.ApproxOptions{Epsilon: eps, Delta: delta, Seed: 7, Workers: 1}
 	tuples := len(q.Answers(inst.DB()))
+	plan, err := p.PlanApproximate(mode, q, false, opts)
+	if err != nil {
+		return err
+	}
+	if plan.Route != ocqa.RouteSharedMultiDKLR {
+		return fmt.Errorf("answers pass routed %q, want %q", plan.Route, ocqa.RouteSharedMultiDKLR)
+	}
 
 	// Draw accounting via the engine's process-wide counter, so the
 	// comparison includes every draw actually performed (parallel
@@ -226,6 +240,8 @@ func runAnswersBenchmarks(outPath string) error {
 	out := answersBenchFile{
 		Suite:              "answers",
 		benchStamp:         newBenchStamp(),
+		Generator:          mode.Symbol(),
+		Route:              plan.Route,
 		Facts:              inst.DB().Len(),
 		Tuples:             tuples,
 		Epsilon:            eps,
@@ -271,7 +287,7 @@ func runAnswersBenchmarks(outPath string) error {
 		fmt.Printf("%-28s %14.0f ns/op %12d B/op %8d allocs/op  (n=%d)\n",
 			r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp, r.Iterations)
 	}
-	fmt.Printf("tuples sharing the pass: %d\n", tuples)
+	fmt.Printf("tuples sharing the pass: %d (%s, route %s)\n", tuples, out.Generator, out.Route)
 	fmt.Printf("draws: per-tuple baseline %d, shared pass %d — %.2fx reduction\n",
 		baselineDraws, sharedDraws, out.DrawReduction)
 	fmt.Printf("deterministic for fixed (seed, workers): %v\n", deterministic)

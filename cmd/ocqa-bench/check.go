@@ -61,6 +61,9 @@ type genericBenchFile struct {
 	Draws         int64  `json:"draws"`
 	BaselineDraws int64  `json:"baseline_draws"`
 	SharedDraws   int64  `json:"shared_draws"`
+	// FallbackDraws is the delta suite's whole-instance fallback draw
+	// count.
+	FallbackDraws int64 `json:"fallback_draws"`
 	// BytesPerFactDisk is the scale suite's on-disk density; zero for
 	// suites that do not record it.
 	BytesPerFactDisk float64 `json:"bytes_per_fact_disk"`
@@ -110,11 +113,15 @@ func (f genericBenchFile) drawsPerOp(name string) int64 {
 			return f.Draws
 		}
 	case "delta":
-		// Only the cold approximate ops draw from scratch; the exact
+		// The cold stratified op draws every stratum fresh and the
+		// fallback ops run the whole-instance stopping rule; the exact
 		// ops draw nothing and the warm stratified op reuses stored
 		// statistics (fresh draws ~0 by design).
-		if strings.HasPrefix(name, "DeltaColdApprox") {
+		switch {
+		case name == "DeltaColdStratified":
 			return f.Draws
+		case strings.HasPrefix(name, "DeltaFallbackApprox"):
+			return f.FallbackDraws
 		}
 	}
 	return 0

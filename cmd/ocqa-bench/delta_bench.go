@@ -8,21 +8,28 @@ package main
 // fact mutation and re-answers a standing query:
 //
 //   - cold: rebuild the database and a fresh Prepared from scratch,
-//     then query — what a server without the delta layer pays per write;
+//     then query — what a server without the delta layer pays per write
+//     (for the stratified query: every stratum drawn fresh);
 //   - delta: advance the same Prepared lineage through
 //     ApplyInsert/ApplyDelete, then query — witnesses are maintained
 //     incrementally and untouched cluster factors (or sampled-stratum
 //     draw statistics) are served from the caches carried across the
 //     mutation.
 //
+// A third query couples the two hot blocks with a small block; its
+// witness count overflows the delta layer's cap, so it takes the
+// whole-instance parallel stopping rule — the fallback whose worker
+// ladder (1 worker vs adaptive) the suite times and gates.
+//
 // Before any timing, the suite proves the paths agree: the delta
 // lineage's exact probabilities and consistent answers must be
 // big.Rat-identical to a cold Prepared at every step of a mixed
-// mutation trace, and the warm stratified estimate must be
-// deterministic for a fixed seed with every stored stratum reused
-// (fresh draws exactly zero). Emits a BENCH_delta.json trajectory file;
-// the acceptance floor is a 5x mutate-then-query speedup over cold at
-// the committed 100k-fact size.
+// mutation trace, the cold and warm stratified estimates must route
+// delta-stratified, and the warm one must be deterministic for a fixed
+// seed with every stored stratum reused (fresh draws exactly zero).
+// Emits a BENCH_delta.json trajectory file; the acceptance floor is a
+// 5x mutate-then-query speedup over cold at the committed 100k-fact
+// size.
 
 import (
 	"context"
@@ -51,29 +58,37 @@ type deltaBenchFile struct {
 	// differential trace (each step compares the warm lineage against a
 	// cold Prepared, bitwise, on both standing queries).
 	EqualitySteps int `json:"equality_steps"`
-	// Draws is the Monte-Carlo draws one cold approximate op performs;
-	// ReusedDraws / FreshDraws are the warm stratified op's accounting
-	// (full reuse means FreshDraws is 0).
+	// Draws is the Monte-Carlo draws one cold stratified op performs
+	// (every stratum fresh); ReusedDraws / FreshDraws are the warm
+	// stratified op's accounting (full reuse means FreshDraws is 0).
 	Draws       int64 `json:"draws"`
 	ReusedDraws int64 `json:"reused_draws"`
 	FreshDraws  int64 `json:"fresh_draws"`
-	// StratifiedRoute is the plan route the warm approximate path
-	// selected (must be delta-stratified); Deterministic reports that
-	// two warm estimates with the same seed were bitwise identical.
-	StratifiedRoute string `json:"stratified_route"`
-	Deterministic   bool   `json:"deterministic"`
+	// StratifiedRoute is the plan route of the warm stratified query and
+	// ColdStratifiedRoute that of the cold one (both must be
+	// delta-stratified); Deterministic reports that two warm estimates
+	// with the same seed were bitwise identical.
+	StratifiedRoute     string `json:"stratified_route"`
+	ColdStratifiedRoute string `json:"cold_stratified_route"`
+	Deterministic       bool   `json:"deterministic"`
+	// FallbackRoute is the plan route of the overflowing query (must be
+	// dklr, the whole-instance stopping rule); FallbackDraws the draws
+	// of one serial run of it.
+	FallbackRoute string `json:"fallback_route"`
+	FallbackDraws int64  `json:"fallback_draws"`
 	// AutoWorkers is the worker count adaptive selection chose for the
-	// cold approximate op on this host.
+	// fallback op on this host.
 	AutoWorkers int `json:"auto_workers"`
-	// PhaseSeconds is the per-phase span breakdown of one traced cold
-	// approximate run.
+	// PhaseSeconds is the per-phase span breakdown of one traced
+	// fallback run under adaptive workers.
 	PhaseSeconds map[string]float64 `json:"phase_seconds,omitempty"`
 	Results      []benchResult      `json:"results"`
 	// SpeedupExact is ns(cold exact mutate+query) / ns(delta, mutation
 	// away from the probed block) — the headline number. SpeedupProbe
 	// is the same ratio when every mutation hits the probed block
 	// itself (only that cluster's factor recomputes). SpeedupStratified
-	// is ns(cold approximate, 1 worker) / ns(warm stratified reuse).
+	// is ns(cold stratified, every stratum fresh) / ns(warm stratified
+	// reuse).
 	SpeedupExact      float64 `json:"speedup_exact"`
 	SpeedupProbe      float64 `json:"speedup_probe"`
 	SpeedupStratified float64 `json:"speedup_stratified"`
@@ -200,6 +215,11 @@ func runDeltaBenchmarks(outPath string, facts int) error {
 	if err != nil {
 		return err
 	}
+	// 64 × 64 × 4 witness images: past the delta layer's 4096 cap.
+	fallbackQ, err := ocqa.ParseQuery("Ans() :- R('h0', x), R('h1', y), R('k0', z)")
+	if err != nil {
+		return err
+	}
 	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
 	ctx := context.Background()
 	aopts := ocqa.ApproxOptions{Epsilon: eps, Delta: delta, Seed: 11}
@@ -282,32 +302,70 @@ func runDeltaBenchmarks(outPath string, facts int) error {
 		}
 	})
 
-	// Cold approximate: a fresh Prepared estimates the hot-cluster query
-	// from scratch per op, at 1 worker and under adaptive selection —
-	// the worker ladder the inversion gate checks.
-	coldApprox := func(workers int) (ocqa.Estimate, error) {
-		o := aopts
-		o.Workers = workers
+	// Cold stratified: a fresh Prepared estimates the hot-cluster query
+	// from scratch per op — delta-stratified with every stratum drawn
+	// fresh, the baseline of the warm reuse below.
+	coldStrat := func() (ocqa.Estimate, error) {
 		p := ocqa.NewInstance(base, sigma).PrepareLazy()
-		return p.Approximate(ctx, mode, hotQ, ocqa.Tuple{}, o)
+		return p.Approximate(ctx, mode, hotQ, ocqa.Tuple{}, aopts)
 	}
-	probeEst, err := coldApprox(1)
+	coldPlan, err := ocqa.NewInstance(base, sigma).PrepareLazy().PlanApproximate(mode, hotQ, true, aopts)
 	if err != nil {
 		return err
 	}
-	coldDraws := probeEst.Acct.Draws
-	coldApprox1 := testing.Benchmark(func(b *testing.B) {
+	if coldPlan.Route != ocqa.RouteDeltaStratified {
+		return fmt.Errorf("cold plan routed %q, want %q", coldPlan.Route, ocqa.RouteDeltaStratified)
+	}
+	coldEst, err := coldStrat()
+	if err != nil {
+		return err
+	}
+	if coldEst.Acct.Draws <= 0 || coldEst.Acct.ReusedDraws != 0 {
+		return fmt.Errorf("cold stratified estimate: %d fresh, %d reused draws, want fresh draws only",
+			coldEst.Acct.Draws, coldEst.Acct.ReusedDraws)
+	}
+	coldDraws := coldEst.Acct.Draws
+	coldStratBench := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := coldApprox(1); err != nil {
+			if _, err := coldStrat(); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	coldApproxAuto := testing.Benchmark(func(b *testing.B) {
+
+	// Whole-instance fallback: the overflowing query runs the parallel
+	// stopping rule over every block, at 1 worker and under adaptive
+	// selection — the worker ladder the inversion gate checks.
+	fallbackP := ocqa.NewInstance(base, sigma).Prepare()
+	fallbackPlan, err := fallbackP.PlanApproximate(mode, fallbackQ, true, aopts)
+	if err != nil {
+		return err
+	}
+	if fallbackPlan.Route != ocqa.RouteDKLR {
+		return fmt.Errorf("overflowing query routed %q, want %q", fallbackPlan.Route, ocqa.RouteDKLR)
+	}
+	fallback := func(workers int) (ocqa.Estimate, error) {
+		o := aopts
+		o.Workers = workers
+		return fallbackP.Approximate(ctx, mode, fallbackQ, ocqa.Tuple{}, o)
+	}
+	fallbackEst, err := fallback(1)
+	if err != nil {
+		return err
+	}
+	fallback1 := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := coldApprox(engine.AutoWorkers); err != nil {
+			if _, err := fallback(1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	fallbackAuto := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := fallback(engine.AutoWorkers); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -361,24 +419,25 @@ func runDeltaBenchmarks(outPath string, facts int) error {
 		ReusedDraws:   est1.Acct.ReusedDraws,
 		FreshDraws:    est1.Acct.Draws,
 
-		StratifiedRoute: plan.Route,
-		Deterministic:   deterministic,
-		AutoWorkers:     auto,
-		PhaseSeconds: func() map[string]float64 {
-			return spanSeconds(func(ctx context.Context) {
-				p := ocqa.NewInstance(base, sigma).PrepareLazy()
-				o := aopts
-				o.Workers = engine.AutoWorkers
-				_, _ = p.Approximate(ctx, mode, hotQ, ocqa.Tuple{}, o)
-			})
-		}(),
+		StratifiedRoute:     plan.Route,
+		ColdStratifiedRoute: coldPlan.Route,
+		Deterministic:       deterministic,
+		FallbackRoute:       fallbackPlan.Route,
+		FallbackDraws:       fallbackEst.Acct.Draws,
+		AutoWorkers:         auto,
+		PhaseSeconds: spanSeconds(func(ctx context.Context) {
+			o := aopts
+			o.Workers = engine.AutoWorkers
+			_, _ = fallbackP.Approximate(ctx, mode, fallbackQ, ocqa.Tuple{}, o)
+		}),
 		Results: []benchResult{
 			toResult("DeltaColdExactMutateQuery", coldExact),
 			toResult("DeltaExactMutateQuery", deltaExact),
 			toResult("DeltaExactProbeBlockMutateQuery", deltaProbe),
-			toWorkerResult("DeltaColdApprox1Worker", "delta_cold_approx", 1, coldApprox1),
-			toWorkerResult("DeltaColdApproxAutoWorkers", "delta_cold_approx", auto, coldApproxAuto),
+			toResult("DeltaColdStratified", coldStratBench),
 			toResult("DeltaStratifiedMutateQuery", deltaStrat),
+			toWorkerResult("DeltaFallbackApprox1Worker", "delta_fallback_approx", 1, fallback1),
+			toWorkerResult("DeltaFallbackApproxAutoWorkers", "delta_fallback_approx", auto, fallbackAuto),
 		},
 	}
 	if d := out.Results[1].NsPerOp; d > 0 {
@@ -387,7 +446,7 @@ func runDeltaBenchmarks(outPath string, facts int) error {
 	if d := out.Results[2].NsPerOp; d > 0 {
 		out.SpeedupProbe = out.Results[0].NsPerOp / d
 	}
-	if d := out.Results[5].NsPerOp; d > 0 {
+	if d := out.Results[4].NsPerOp; d > 0 {
 		out.SpeedupStratified = out.Results[3].NsPerOp / d
 	}
 	if v := workerInversions(out.Results); len(v) > 0 {
@@ -406,8 +465,11 @@ func runDeltaBenchmarks(outPath string, facts int) error {
 	}
 	fmt.Printf("facts: %d (%d small blocks + 2 hot blocks of 64)\n", out.Facts, out.Blocks)
 	fmt.Printf("equality trace: delta ≡ cold across %d mutation steps (big.Rat bitwise, both queries)\n", eqSteps)
+	fmt.Printf("cold stratified: route %s, %d fresh draws\n", out.ColdStratifiedRoute, out.Draws)
 	fmt.Printf("warm stratified: route %s, %d draws reused, %d fresh, deterministic=%v\n",
 		out.StratifiedRoute, out.ReusedDraws, out.FreshDraws, deterministic)
+	fmt.Printf("overflow fallback: route %s, %d draws (1 worker), auto = %d worker(s)\n",
+		out.FallbackRoute, out.FallbackDraws, auto)
 	fmt.Printf("mutate-then-query speedup vs cold: %.1fx exact (far block), %.1fx exact (probe block), %.1fx stratified\n",
 		out.SpeedupExact, out.SpeedupProbe, out.SpeedupStratified)
 	fmt.Printf("host: %d CPU(s), GOMAXPROCS=%d\n", out.NumCPU, out.GOMAXPROCS)

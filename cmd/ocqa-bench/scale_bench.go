@@ -73,8 +73,12 @@ type scaleBenchFile struct {
 	// derived from the benchmark results below.
 	DrawsPerSec1W   float64 `json:"draws_per_sec_1w"`
 	DrawsPerSecAuto float64 `json:"draws_per_sec_auto"`
-	// StoppingRuleDraws/Seconds record one capped Dagum–Karp stopping-
-	// rule query estimation on the full instance (adaptive workers).
+	// StoppingRuleRoute/Draws/Seconds record one capped default
+	// (stopping-rule) query estimation on the full instance (adaptive
+	// workers): the plan route it took, the draws it performed and its
+	// wall time. Under M^ur the single-block query takes delta-exact and
+	// draws nothing.
+	StoppingRuleRoute   string  `json:"stopping_rule_route"`
 	StoppingRuleDraws   int64   `json:"stopping_rule_draws"`
 	StoppingRuleSeconds float64 `json:"stopping_rule_seconds"`
 	// PhaseSeconds is the span breakdown of one traced auto-worker
@@ -200,18 +204,22 @@ func runScaleBenchmarks(outPath string, facts int) error {
 		}
 	}
 
-	// One capped stopping-rule estimation over the same instance: the
+	// One capped default-estimator query over the same instance: the
 	// query holds in a repair iff block k0's first fact survives, so
-	// the true probability is 1/3 and the Dagum–Karp rule terminates
-	// quickly even at a million facts.
+	// the true probability is 1/3. Its one block is a single cluster,
+	// so M^ur answers from the product form (route delta-exact, zero
+	// draws); the route and draws are recorded either way.
 	q, err := ocqa.ParseQuery("Ans() :- R('k00000000', 'v0')")
 	if err != nil {
 		return err
 	}
+	srOpts := ocqa.ApproxOptions{Epsilon: 0.2, Delta: 0.1, Seed: 1, MaxSamples: 5000, Workers: engine.AutoWorkers}
 	srStart := time.Now()
-	est, err := p.Approximate(ctx, mode, q, ocqa.Tuple{}, ocqa.ApproxOptions{
-		Epsilon: 0.2, Delta: 0.1, Seed: 1, MaxSamples: 5000, Workers: engine.AutoWorkers,
-	})
+	srPlan, err := p.PlanApproximate(mode, q, true, srOpts)
+	if err != nil {
+		return err
+	}
+	est, err := p.Approximate(ctx, mode, q, ocqa.Tuple{}, srOpts)
 	if err != nil {
 		return err
 	}
@@ -315,7 +323,8 @@ func runScaleBenchmarks(outPath string, facts int) error {
 		HeapBytes:           heapBytes,
 		SysBytes:            sys1,
 		BytesPerFactMem:     float64(heapBytes) / float64(db.Len()),
-		StoppingRuleDraws:   int64(est.Samples),
+		StoppingRuleRoute:   srPlan.Route,
+		StoppingRuleDraws:   est.Acct.Draws,
 		StoppingRuleSeconds: srSeconds,
 		PhaseSeconds: spanSeconds(func(ctx context.Context) {
 			_, _, _ = p.ApproximateFactMarginalsAcct(ctx, mode, ocqa.ApproxOptions{
@@ -358,8 +367,8 @@ func runScaleBenchmarks(outPath string, facts int) error {
 		out.BytesPerFactDisk, snapBytes>>20)
 	fmt.Printf("marginals: %.0f draws/sec (1 worker), %.0f draws/sec (auto, %d worker(s))\n",
 		out.DrawsPerSec1W, out.DrawsPerSecAuto, auto)
-	fmt.Printf("stopping rule: %d draws in %.2fs, estimate %.3f for a 1/3-probability query\n",
-		out.StoppingRuleDraws, srSeconds, est.Value)
+	fmt.Printf("default estimator: route %s, %d draws in %.3fs, estimate %.3f for a 1/3-probability query\n",
+		out.StoppingRuleRoute, out.StoppingRuleDraws, srSeconds, est.Value)
 	fmt.Printf("wrote %s\n", outPath)
 	return nil
 }

@@ -1,6 +1,7 @@
 package ocqa
 
-// Delta-aware incremental estimation (the mutation-churn fast path).
+// Product-form estimation under primary keys, kept incremental across
+// mutations.
 //
 // Under primary keys the M^ur repair distribution is a product measure:
 // a candidate repair keeps, independently per conflict block of size m,
@@ -23,6 +24,15 @@ package ocqa
 // under a (ε/S, δ/S) stopping rule, and their draw statistics persist
 // across generations — after a mutation only the touched stratum is
 // redrawn, the rest are reused and reported as Accounting.ReusedDraws.
+//
+// Every default stopping-rule estimate on an M^ur or M^{ur,1}
+// primary-key instance takes these routes, mutated or not: the route
+// depends on the class, generator, estimator, witness count and strata,
+// never on mutation history. A never-mutated instance builds its state
+// on the first query and draws every sampled stratum fresh. Fingerprints
+// over the witness cap, targets with more than deltaMaxSampledStrata
+// strata, UseAA/UseChernoff and every other mode keep the
+// whole-instance estimators.
 //
 // State lives inside Prepared and is carried, remapped and refreshed by
 // ApplyInsert/ApplyDelete (the Prepared→Prepared mutation path the
@@ -99,14 +109,12 @@ func DeltaReusedDraws() int64 { return deltaReusedTotal.Load() }
 
 // deltaState is the incremental-estimation state of one Prepared: the
 // per-fingerprint witness/factor/stratum records, and whether the state
-// was carried over a mutation (warm) — the condition under which the
-// approximate paths route delta.
+// was carried over a mutation (warm).
 type deltaState struct {
 	mu sync.Mutex
-	// warm is set on states derived by ApplyInsert/ApplyDelete: a warm
-	// prior generation exists, so the planner and the approximate paths
-	// may route delta-exact/delta-stratified. Cold approximate
-	// behaviour stays byte-identical to the classic estimators.
+	// warm is set on states derived by ApplyInsert/ApplyDelete. It only
+	// decides whether an evaluation counts as a refresh
+	// (deltaBumpRefresh); routing never reads it.
 	warm bool
 	// queries maps a query fingerprint (Query.String()) to its
 	// maintained state; order is the FIFO eviction queue (same bound as
@@ -155,7 +163,7 @@ func (p *Prepared) deltaEligible(mode Mode) bool {
 	return p.class == fd.PrimaryKeys && mode.Gen == UniformRepairs
 }
 
-// deltaWarm reports whether a warm prior generation exists.
+// deltaWarm reports whether the state was carried over a mutation.
 func (p *Prepared) deltaWarm() bool {
 	p.deltaMu.Lock()
 	defer p.deltaMu.Unlock()
@@ -174,8 +182,7 @@ func (p *Prepared) deltaStateOf() *deltaState {
 }
 
 // deltaQueryFor returns the maintained state for the fingerprint,
-// building it from the cached multi-tuple compile on first use (one
-// homomorphism enumeration, shared with the predicate cache).
+// building it on first use.
 func (p *Prepared) deltaQueryFor(q *Query) *deltaQuery {
 	key := q.String()
 	d := p.deltaStateOf()
@@ -202,34 +209,17 @@ func (p *Prepared) deltaQueryFor(q *Query) *deltaQuery {
 	return dq
 }
 
-// deltaCompile builds a fingerprint's witness state from the cached
-// multi-tuple compile — every tuple of Q(D) with its image sets.
+// deltaCompile builds a fingerprint's witness state: every witness
+// image of every candidate tuple, from one homomorphism enumeration that
+// stops as soon as the images pass the cap.
 func (p *Prepared) deltaCompile(q *Query) *deltaQuery {
-	mp := p.multiPred(q)
 	dq := &deltaQuery{
 		q:       q,
 		factors: make(map[string]*big.Rat),
 		strata:  make(map[string]deltaStratum),
 	}
-	tuples := mp.Tuples()
-	total := 0
-	for t := range tuples {
-		ws, ok := mp.TupleWitnesses(t)
-		if !ok {
-			dq.overflow = true
-			dq.wits = nil
-			return dq
-		}
-		total += len(ws)
-		if total > deltaMaxWitnesses {
-			dq.overflow = true
-			dq.wits = nil
-			return dq
-		}
-		for _, w := range ws {
-			dq.wits = append(dq.wits, core.Witness{Tuple: tuples[t], Facts: append([]int(nil), w...)})
-		}
-	}
+	wits, ok := p.inner.Witnesses(q, deltaMaxWitnesses)
+	dq.wits, dq.overflow = wits, !ok
 	return dq
 }
 
@@ -631,6 +621,31 @@ func (c *deltaCluster) newDraw() func() engine.Sampler {
 
 // --- exact delta path ------------------------------------------------------
 
+// exactPart multiplies the complements 1 − p_c of the decomposition's
+// enumerable clusters, serving cached factors and computing (and
+// caching) the rest, and returns the clusters too large to enumerate.
+// Caller holds dq.mu.
+func (dq *deltaQuery) exactPart(dec *deltaDecomp) (*big.Rat, []*deltaCluster) {
+	comp := big.NewRat(1, 1)
+	var sampled []*deltaCluster
+	for i := range dec.clusters {
+		c := &dec.clusters[i]
+		f, ok := dq.factors[c.sig]
+		if ok {
+			deltaFactorHits.Add(1)
+		} else if f, ok = c.exactFactor(); ok {
+			deltaFactorMisses.Add(1)
+			dq.factors[c.sig] = f
+		}
+		if !ok {
+			sampled = append(sampled, c)
+			continue
+		}
+		comp.Mul(comp, f)
+	}
+	return comp, sampled
+}
+
 // deltaExactTarget computes the target's exact probability from the
 // decomposition, serving untouched clusters' factors from the cache and
 // recomputing only the changed ones. ok=false when some cluster exceeds
@@ -642,28 +657,12 @@ func (p *Prepared) deltaExactTarget(dq *deltaQuery, wits []core.Witness, singlet
 		p.deltaBumpRefresh()
 		return big.NewRat(1, 1), true
 	}
-	if len(dec.clusters) == 0 {
-		p.deltaBumpRefresh()
-		return new(big.Rat), true
-	}
-	comp := big.NewRat(1, 1)
-	for i := range dec.clusters {
-		c := &dec.clusters[i]
-		f, ok := dq.factors[c.sig]
-		if ok {
-			deltaFactorHits.Add(1)
-		} else {
-			deltaFactorMisses.Add(1)
-			f, ok = c.exactFactor()
-			if !ok {
-				return nil, false
-			}
-			dq.factors[c.sig] = f
-		}
-		comp.Mul(comp, f)
+	comp, sampled := dq.exactPart(&dec)
+	if len(sampled) > 0 {
+		return nil, false
 	}
 	p.deltaBumpRefresh()
-	return new(big.Rat).Sub(big.NewRat(1, 1), comp), true
+	return comp.Sub(big.NewRat(1, 1), comp), true
 }
 
 // ExactProbability computes P_{M,Q}(D, c̄) exactly. For M^ur under
@@ -765,6 +764,12 @@ func (dq *deltaQuery) liveTuples() ([]string, []Tuple, map[string][]core.Witness
 func (p *Prepared) deltaApproxTarget(ctx context.Context, dq *deltaQuery, wits []core.Witness, mode Mode, opts ApproxOptions) (Estimate, bool, error) {
 	end := engine.TraceFrom(ctx).StartSpan("delta-refresh")
 	defer end()
+	if err := ctx.Err(); err != nil {
+		// A done context is refused even where no draw would run, as on
+		// the whole-instance path.
+		est := Estimate{Epsilon: opts.Epsilon, Delta: opts.Delta, Acct: Accounting{Cancelled: true}}
+		return est, true, fmt.Errorf("ocqa: estimation stopped: %w", err)
+	}
 	dec := p.decompose(wits, mode.Singleton)
 	est := Estimate{Epsilon: opts.Epsilon, Delta: opts.Delta, Converged: true}
 	if dec.certain {
@@ -772,31 +777,18 @@ func (p *Prepared) deltaApproxTarget(ctx context.Context, dq *deltaQuery, wits [
 		p.deltaBumpRefresh()
 		return est, true, nil
 	}
-	if len(dec.clusters) == 0 {
-		p.deltaBumpRefresh()
-		return est, true, nil
-	}
-	var sampled []*deltaCluster
-	comp := 1.0
-	for i := range dec.clusters {
-		c := &dec.clusters[i]
-		f, ok := dq.factors[c.sig]
-		if ok {
-			deltaFactorHits.Add(1)
-		} else if f, ok = c.exactFactor(); ok {
-			deltaFactorMisses.Add(1)
-			dq.factors[c.sig] = f
-		}
-		if ok {
-			v, _ := f.Float64()
-			comp *= v
-			continue
-		}
-		sampled = append(sampled, c)
-	}
+	exact, sampled := dq.exactPart(&dec)
 	if len(sampled) > deltaMaxSampledStrata {
 		return Estimate{}, false, nil
 	}
+	if len(sampled) == 0 {
+		// Every cluster enumerable: the estimate is the exact
+		// probability, rounded once.
+		est.Value, _ = exact.Sub(big.NewRat(1, 1), exact).Float64()
+		p.deltaBumpRefresh()
+		return est, true, nil
+	}
+	comp, _ := exact.Float64()
 	s := len(sampled)
 	var fresh, reused int64
 	for _, c := range sampled {
@@ -856,13 +848,14 @@ func deltaSeed(seed int64, sig string) int64 {
 
 // deltaPlanRoute reports, for the planner, whether the delta engine
 // would answer the query under these options and with how many sampled
-// strata (the max over targets; 0 means every cluster is exactly
-// enumerable — the zero-draw delta-exact route). It mirrors the
-// routing predicate of deltaApproximate/deltaApproximateAnswers and,
+// strata (the max over candidate tuples, so a single-tuple plan reports
+// the worst candidate; 0 means every cluster is exactly enumerable —
+// the zero-draw delta-exact route). It mirrors the routing predicate of
+// deltaApproximate/deltaApproximateAnswers and,
 // like the rest of the planner, warms the compile the run then reuses;
 // it never mutates the factor or stratum caches.
 func (p *Prepared) deltaPlanRoute(mode Mode, q *Query, opts ApproxOptions) (int, bool) {
-	if !p.deltaWarm() || !p.deltaEligible(mode) || opts.UseAA || opts.UseChernoff {
+	if !p.deltaEligible(mode) || opts.UseAA || opts.UseChernoff {
 		return 0, false
 	}
 	dq := p.deltaQueryFor(q)
@@ -901,14 +894,14 @@ func (p *Prepared) deltaPlanRoute(mode Mode, q *Query, opts ApproxOptions) (int,
 	return maxStrata, true
 }
 
-// deltaApproximate is the warm-generation routing of Approximate: the
-// delta paths answer only when a prior generation's state was carried
-// over a mutation (cold behaviour stays byte-identical to the classic
-// estimators) and only for the default stopping-rule estimator — the
-// Chernoff and 𝒜𝒜 constructions keep their own semantics. On a cold
-// eligible call it contributes nothing and costs nothing.
+// deltaApproximate is the product-form routing of Approximate: for
+// M^ur under primary keys and the default stopping-rule estimator (the
+// Chernoff and 𝒜𝒜 constructions keep their own semantics), the
+// decomposition answers unless the fingerprint overflows the witness
+// cap or the target has too many sampled strata. ok=false hands the
+// call to the whole-instance estimator.
 func (p *Prepared) deltaApproximate(ctx context.Context, mode Mode, q *Query, c Tuple, opts ApproxOptions) (Estimate, bool, error) {
-	if !p.deltaWarm() || !p.deltaEligible(mode) || opts.UseAA || opts.UseChernoff {
+	if !p.deltaEligible(mode) || opts.UseAA || opts.UseChernoff {
 		return Estimate{}, false, nil
 	}
 	opts.fill()
@@ -929,11 +922,13 @@ func (p *Prepared) deltaApproximate(ctx context.Context, mode Mode, q *Query, c 
 	return p.deltaApproxTarget(ctx, dq, dq.witsOf(c.Key()), mode, opts)
 }
 
-// deltaApproximateAnswers is the warm-generation routing of the shared
-// answers pass: per-tuple stratified estimates over the incrementally
-// maintained candidate set.
+// deltaApproximateAnswers is the product-form routing of the shared
+// answers pass: per-tuple estimates over the incrementally maintained
+// candidate set, under the same predicate as deltaApproximate; one
+// target with too many strata sends the whole pass to the shared
+// whole-instance estimator.
 func (p *Prepared) deltaApproximateAnswers(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, Accounting, bool, error) {
-	if !p.deltaWarm() || !p.deltaEligible(mode) || opts.UseAA || opts.UseChernoff {
+	if !p.deltaEligible(mode) || opts.UseAA || opts.UseChernoff {
 		return nil, Accounting{}, false, nil
 	}
 	opts.fill()
@@ -949,7 +944,11 @@ func (p *Prepared) deltaApproximateAnswers(ctx context.Context, mode Mode, q *Qu
 	keys, tuples, byKey := dq.liveTuples()
 	out := make([]ApproxAnswer, 0, len(keys))
 	var total Accounting
+	var runErr error
 	for i, k := range keys {
+		// After a cancellation the remaining targets return at once with
+		// the same error, so every candidate carries its partial estimate
+		// — the shared pass's contract.
 		e, ok, err := p.deltaApproxTarget(ctx, dq, byKey[k], mode, opts)
 		if !ok {
 			return nil, Accounting{}, false, nil
@@ -958,10 +957,10 @@ func (p *Prepared) deltaApproximateAnswers(ctx context.Context, mode Mode, q *Qu
 		total.ReusedDraws += e.Acct.ReusedDraws
 		total.Workers = max(total.Workers, e.Acct.Workers)
 		total.Cancelled = total.Cancelled || e.Acct.Cancelled
-		if err != nil {
-			return out, total, true, err
+		if runErr == nil {
+			runErr = err
 		}
 		out = append(out, ApproxAnswer{Tuple: tuples[i], Estimate: e})
 	}
-	return out, total, true, nil
+	return out, total, true, runErr
 }

@@ -109,6 +109,8 @@ func TestDeltaExactAcrossMutations(t *testing.T) {
 		mustQuery(t, "Ans() :- R(k, 'x')"),
 		mustQuery(t, "Ans(v) :- R(k, v)"),
 		mustQuery(t, "Ans() :- R('a', v), R('b', w)"),
+		// A self-join whose tuples (x, y) and (y, x) share one image.
+		mustQuery(t, "Ans(x, y) :- R(x, z), R(y, z)"),
 	}
 	// Warm the delta state for every fingerprint before mutating.
 	for _, q := range queries {
@@ -129,6 +131,7 @@ func TestDeltaExactAcrossMutations(t *testing.T) {
 		{insert: "R(a,z)"}, // regrow block a
 		{insert: "R(d,q)"}, // fresh singleton block
 		{delete: 2},        // indices shifted; exercise remap
+		{insert: "R(d,x)"}, // joins R(a,x) and R(b,x) both ways
 	}
 	for si, st := range steps {
 		var err error
@@ -288,8 +291,9 @@ func TestDeltaStratifiedDeterminism(t *testing.T) {
 }
 
 // TestDeltaColdApproximateUnchanged pins the cold-path contract: on a
-// first-generation Prepared (no mutation history) the classic
-// estimator answers, identical to the bare Instance path.
+// first-generation Prepared (no mutation history) the answer is
+// identical to the bare Instance path's, which is the same query on a
+// lazy prepare, and no draws are reported as reused.
 func TestDeltaColdApproximateUnchanged(t *testing.T) {
 	inst := mustInstance(t,
 		"R(a,x)\nR(a,y)\nR(b,x)\nR(b,z)",
@@ -314,21 +318,22 @@ func TestDeltaColdApproximateUnchanged(t *testing.T) {
 	}
 }
 
-// TestDeltaPlanRoutes checks the planner's warm routing: delta-exact
-// for fully enumerable decompositions, delta-stratified when a cluster
-// must be sampled, and the classic DKLR route on cold generations.
+// TestDeltaPlanRoutes checks the planner's routing: delta-exact for
+// fully enumerable decompositions, delta-stratified when a cluster
+// must be sampled — on cold and warm generations alike, since the
+// route never depends on mutation history.
 func TestDeltaPlanRoutes(t *testing.T) {
 	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
 	opts := ocqa.ApproxOptions{Epsilon: 0.2, Delta: 0.1, Seed: 1}
 
-	// Cold: classic route.
+	// Cold + sampled cluster: delta-stratified.
 	pCold, qBig := stratifiedFixture(t)
 	plan, err := pCold.PlanApproximate(mode, qBig, true, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Route != ocqa.RouteDKLR {
-		t.Fatalf("cold route = %q, want %q", plan.Route, ocqa.RouteDKLR)
+	if plan.Route != ocqa.RouteDeltaStratified {
+		t.Fatalf("cold sampled route = %q, want %q", plan.Route, ocqa.RouteDeltaStratified)
 	}
 
 	// Warm + sampled cluster: delta-stratified.
@@ -345,23 +350,29 @@ func TestDeltaPlanRoutes(t *testing.T) {
 		t.Fatalf("warm sampled route = %q, want %q", plan.Route, ocqa.RouteDeltaStratified)
 	}
 
-	// Warm + small blocks: delta-exact, zero draws.
+	// Small blocks: delta-exact, zero draws, cold and warm.
 	instSmall := mustInstance(t, "R(a,x)\nR(a,y)\nR(b,x)", "R: A1 -> A2")
-	pSmall, _, err := instSmall.Prepare().ApplyInsert(mustFact(t, "R(b,q)"))
+	pSmallCold := instSmall.Prepare()
+	pSmall, _, err := pSmallCold.ApplyInsert(mustFact(t, "R(b,q)"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	qSmall := mustQuery(t, "Ans() :- R(k, 'x')")
-	plan, err = pSmall.PlanApproximate(mode, qSmall, true, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Route != ocqa.RouteDeltaExact {
-		t.Fatalf("warm enumerable route = %q, want %q", plan.Route, ocqa.RouteDeltaExact)
-	}
-	if plan.PredictedDraws != 0 || plan.RequiredDraws != 0 {
-		t.Fatalf("delta-exact plan predicts draws: required=%d predicted=%d",
-			plan.RequiredDraws, plan.PredictedDraws)
+	for _, gen := range []struct {
+		name string
+		p    *ocqa.Prepared
+	}{{"cold", pSmallCold}, {"warm", pSmall}} {
+		plan, err = gen.p.PlanApproximate(mode, qSmall, true, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Route != ocqa.RouteDeltaExact {
+			t.Fatalf("%s enumerable route = %q, want %q", gen.name, plan.Route, ocqa.RouteDeltaExact)
+		}
+		if plan.PredictedDraws != 0 || plan.RequiredDraws != 0 {
+			t.Fatalf("%s delta-exact plan predicts draws: required=%d predicted=%d",
+				gen.name, plan.RequiredDraws, plan.PredictedDraws)
+		}
 	}
 }
 
@@ -399,5 +410,101 @@ func TestDeltaExactAtScaleBeyondEnumeration(t *testing.T) {
 	// only exact route.
 	if _, err := inst.ExactProbability(ocqa.Mode{Gen: ocqa.UniformRepairs}, q, ocqa.Tuple{}, 100000); err == nil {
 		t.Fatal("core enumeration unexpectedly succeeded at 8000 facts")
+	}
+}
+
+// approximator is the single-tuple estimation surface Instance and
+// Prepared share.
+type approximator interface {
+	Approximate(context.Context, ocqa.Mode, *ocqa.Query, ocqa.Tuple, ocqa.ApproxOptions) (ocqa.Estimate, error)
+}
+
+// TestDeltaColdExactZeroDraws pins the cold delta-exact contract: on a
+// never-mutated instance, an M^ur or M^{ur,1} estimate whose clusters
+// all enumerate equals the exact probability rounded to float64, with
+// zero draws, through the bare Instance and a Prepared alike. The
+// shapes cover several independent clusters, a coupled cluster, a
+// certain answer, an impossible witness and an absent tuple.
+func TestDeltaColdExactZeroDraws(t *testing.T) {
+	inst := mustInstance(t,
+		"R(a,x)\nR(a,y)\nR(b,x)\nR(b,z)\nR(c,x)\nR(c,w)\nR(c,u)\nR(d,q)",
+		"R: A1 -> A2")
+	cases := []struct {
+		q     string
+		tuple ocqa.Tuple
+	}{
+		{"Ans(v) :- R(k, v)", ocqa.Tuple{"x"}}, // three single-block clusters
+		{"Ans(v) :- R(k, v)", ocqa.Tuple{"q"}}, // certain: R(d,q) is fixed
+		{"Ans(v) :- R(k, v)", ocqa.Tuple{"nope"}},
+		{"Ans() :- R('a', v), R('b', w)", ocqa.Tuple{}},     // coupled blocks a and b
+		{"Ans() :- R('a', 'x'), R('a', 'y')", ocqa.Tuple{}}, // impossible
+	}
+	for _, mode := range deltaModes {
+		for _, tc := range cases {
+			q := mustQuery(t, tc.q)
+			exact, err := inst.ExactProbability(mode, q, tc.tuple, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := exact.Float64()
+			for _, a := range []approximator{inst, inst.Prepare()} {
+				est, err := a.Approximate(context.Background(), mode, q, tc.tuple, ocqa.ApproxOptions{Seed: 3})
+				if err != nil {
+					t.Fatalf("%s %s @%v: %v", mode.Symbol(), tc.q, tc.tuple, err)
+				}
+				if est.Value != want || !est.Converged || est.Acct.Draws != 0 || est.Samples != 0 {
+					t.Fatalf("%s %s @%v (%T): value %v converged %v draws %d samples %d, want %v (= %s) with 0 draws",
+						mode.Symbol(), tc.q, tc.tuple, a, est.Value, est.Converged, est.Acct.Draws, est.Samples, want, exact.RatString())
+				}
+			}
+		}
+	}
+}
+
+// TestDeltaColdZeroProbability: a candidate whose only witness needs
+// two facts of one block has probability 0. Under the default 5M draw
+// cap the whole-instance stopping rule could never meet its threshold
+// and would burn the cap; the product form answers 0 at once.
+func TestDeltaColdZeroProbability(t *testing.T) {
+	inst := mustInstance(t, "R(a,x)\nR(a,y)\nR(b,x)", "R: A1 -> A2")
+	q := mustQuery(t, "Ans() :- R('a', 'x'), R('a', 'y')")
+	for _, mode := range deltaModes {
+		est, err := inst.Prepare().Approximate(context.Background(), mode, q, ocqa.Tuple{}, ocqa.ApproxOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.Value != 0 || !est.Converged || est.Acct.Draws != 0 {
+			t.Fatalf("%s: value %v converged %v draws %d, want 0, converged, 0 draws",
+				mode.Symbol(), est.Value, est.Converged, est.Acct.Draws)
+		}
+	}
+}
+
+// TestDeltaColdStratified: on a never-mutated instance a cluster too
+// large to enumerate is drawn as its own stratum — fresh draws only,
+// within ε of the exact probability, and deterministic in the seed.
+func TestDeltaColdStratified(t *testing.T) {
+	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
+	opts := ocqa.ApproxOptions{Epsilon: 0.2, Delta: 0.1, Seed: 13}
+	run := func() ocqa.Estimate {
+		p, q := stratifiedFixture(t)
+		est, err := p.Approximate(context.Background(), mode, q, ocqa.Tuple{}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return est
+	}
+	est := run()
+	if est.Acct.Draws == 0 || est.Acct.ReusedDraws != 0 || est.Samples != int(est.Acct.Draws) {
+		t.Fatalf("cold stratified accounting: draws=%d reused=%d samples=%d, want fresh draws only",
+			est.Acct.Draws, est.Acct.ReusedDraws, est.Samples)
+	}
+	pExact := (64.0 / 65.0) * (64.0 / 65.0)
+	if math.Abs(est.Value-pExact) > opts.Epsilon*pExact {
+		t.Fatalf("cold stratified estimate %v outside ε-envelope of %v", est.Value, pExact)
+	}
+	if again := run(); again.Value != est.Value || again.Samples != est.Samples {
+		t.Fatalf("same seed, different cold estimates: (%v, %d) vs (%v, %d)",
+			est.Value, est.Samples, again.Value, again.Samples)
 	}
 }

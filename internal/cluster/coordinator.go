@@ -487,7 +487,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		c.shards[req.ID] = sh
 		c.mu.Unlock()
 		if follower != "" {
-			if err := c.syncFollower(r.Context(), req.ID, owner, follower, 1); err != nil {
+			if err := c.syncFollowerDetached(req.ID, owner, follower, 1); err != nil {
 				c.opts.Log.Warn("seeding follower failed", "instance", req.ID, "follower", follower, "err", err)
 			}
 		}
@@ -612,7 +612,7 @@ func (c *Coordinator) proxyMutation(w http.ResponseWriter, r *http.Request) {
 			}
 			c.mu.Unlock()
 			if follower != "" {
-				if err := c.syncFollower(r.Context(), sh.id, owner, follower, mut.Gen); err != nil {
+				if err := c.syncFollowerDetached(sh.id, owner, follower, mut.Gen); err != nil {
 					// The owner has journalled the write; losing the
 					// follower costs failover warmth, not durability of
 					// the ack itself. Surface it instead of failing the
@@ -727,6 +727,21 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // --- replication + failover -------------------------------------------------
+
+// followerSyncTimeout bounds a follower sync that runs detached from
+// the client request whose write it replicates.
+const followerSyncTimeout = 30 * time.Second
+
+// syncFollowerDetached is syncFollower for a write the owner has
+// already acked: it runs on the coordinator's lifetime context with a
+// bounded timeout, not on the client's request context, so a client
+// that disconnects after the owner's ack cannot cancel replication.
+// Close still stops it.
+func (c *Coordinator) syncFollowerDetached(id, owner, follower string, wantGen int64) error {
+	ctx, cancel := context.WithTimeout(c.lifecycle, followerSyncTimeout)
+	defer cancel()
+	return c.syncFollower(ctx, id, owner, follower, wantGen)
+}
 
 // syncFollower asks the follower to pull the instance from the owner
 // until its replica generation reaches at least wantGen.

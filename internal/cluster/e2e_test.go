@@ -440,3 +440,102 @@ func TestCoordinatorHealthLoopFailsOver(t *testing.T) {
 	}
 	_ = context.Background
 }
+
+// syncGate fronts a backend and, once armed, parks the next
+// /v1/replication/sync request: it reports the park on entered, then
+// waits for release. It records whether the parked request's context
+// was cancelled while it waited.
+type syncGate struct {
+	next      http.Handler
+	armed     atomic.Bool
+	entered   chan struct{}
+	release   chan struct{}
+	cancelled atomic.Bool
+}
+
+func (g *syncGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/v1/replication/sync" && g.armed.CompareAndSwap(true, false) {
+		close(g.entered)
+		select {
+		case <-g.release:
+		case <-r.Context().Done():
+			g.cancelled.Store(true)
+			return
+		}
+	}
+	g.next.ServeHTTP(w, r)
+}
+
+// TestFollowerSyncSurvivesClientDisconnect: a client that disconnects
+// after the owner acked its write must not cancel the follower sync —
+// the follower still reaches the acked generation.
+func TestFollowerSyncSurvivesClientDisconnect(t *testing.T) {
+	var bases []string
+	gates := map[string]*syncGate{}
+	for i := 0; i < 2; i++ {
+		s := server.New(server.Options{})
+		g := &syncGate{next: s, entered: make(chan struct{}), release: make(chan struct{})}
+		ts := httptest.NewServer(g)
+		t.Cleanup(func() { ts.Close(); s.Close() })
+		bases = append(bases, ts.URL)
+		gates[ts.URL] = g
+	}
+	c, err := New(Options{Backends: bases, HealthInterval: -1, HedgeFloor: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	coord := httptest.NewServer(c)
+	t.Cleanup(coord.Close)
+
+	reg := clusterRegister(t, coord.URL)
+	var shards []ShardInfo
+	cdo(t, http.MethodGet, coord.URL+"/v1/cluster/shards", nil, &shards)
+	if len(shards) != 1 || shards[0].Follower == "" {
+		t.Fatalf("shards = %+v, want one shard with a follower", shards)
+	}
+	gate := gates[shards[0].Follower]
+	gate.armed.Store(true)
+
+	// The mutation reaches the owner, which acks it; the coordinator
+	// then parks in the follower sync, and the client goes away.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, coord.URL+"/v1/instances/"+reg.ID+"/facts",
+			bytes.NewReader([]byte(`{"fact":"Emp(7,Gail)"}`)))
+		req.Header.Set("Content-Type", "application/json")
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the follower sync never started")
+	}
+	cancel()
+	<-done
+	// Give a sync bound to the client's context time to be torn down.
+	time.Sleep(200 * time.Millisecond)
+	close(gate.release)
+	if gate.cancelled.Load() {
+		t.Fatal("the follower sync was cancelled with the client's request")
+	}
+
+	const ackedGen = 2 // registration is generation 1, the insert 2
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var reps []server.ReplInstanceInfo
+		cdo(t, http.MethodGet, shards[0].Follower+"/v1/replication/replicas", nil, &reps)
+		if len(reps) == 1 && reps[0].Gen >= ackedGen {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower replica at %+v, want gen %d after the client disconnected", reps, ackedGen)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

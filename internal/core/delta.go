@@ -44,38 +44,78 @@ func (inst *Instance) BlockOf(i int) []int {
 	return out
 }
 
-// AnchoredWitnesses enumerates the witness images of q that use the
-// fact at index fi — exactly the images created by inserting that fact.
-// Images are deduplicated across anchor atoms (an image using fi in two
-// atoms is found once per anchor). ok is false when more than maxImages
-// images are anchored at the fact (0 means DefaultMaxImages); callers
-// then drop their compiled state and fall back to full recomputation.
-func (inst *Instance) AnchoredWitnesses(q *cq.Query, fi int, maxImages int) ([]Witness, bool) {
+// witnessSet collects witness images deduplicated per answer tuple, as
+// CompileMultiPred does: one fact set can witness two tuples, e.g.
+// (a, b) and (b, a) of Ans(x, y) :- R(x, z), R(y, z).
+type witnessSet struct {
+	seen    map[witnessKey]bool
+	out     []Witness
+	max     int
+	scratch []int
+}
+
+type witnessKey struct{ tuple, facts string }
+
+func newWitnessSet(q *cq.Query, maxImages int) *witnessSet {
 	if maxImages <= 0 {
 		maxImages = DefaultMaxImages
 	}
+	return &witnessSet{seen: make(map[witnessKey]bool), max: maxImages, scratch: make([]int, 0, len(q.Atoms))}
+}
+
+// add records one image and reports whether the set is still within
+// its cap.
+func (ws *witnessSet) add(tup cq.Tuple, facts []int) bool {
+	w, key := canonWitness(facts, ws.scratch)
+	k := witnessKey{tup.Key(), key}
+	if ws.seen[k] {
+		return true
+	}
+	ws.seen[k] = true
+	ws.out = append(ws.out, Witness{Tuple: tup, Facts: append([]int(nil), w...)})
+	return len(ws.out) <= ws.max
+}
+
+// Witnesses enumerates every witness image of q over D, tagged with the
+// answer tuple it witnesses. ok is false once more than maxImages
+// images exist (0 means DefaultMaxImages); the enumeration stops there,
+// so a query past the cap costs O(maxImages) images, not all of them.
+func (inst *Instance) Witnesses(q *cq.Query, maxImages int) ([]Witness, bool) {
+	ws := newWitnessSet(q, maxImages)
+	overflow := false
+	q.HomomorphismsMatched(inst.D, func(h cq.Homomorphism, facts []int) bool {
+		tup := make(cq.Tuple, len(q.AnswerVars))
+		for i, v := range q.AnswerVars {
+			tup[i] = h[v]
+		}
+		overflow = !ws.add(tup, facts)
+		return !overflow
+	})
+	if overflow {
+		return nil, false
+	}
+	return ws.out, true
+}
+
+// AnchoredWitnesses enumerates the witness images of q that use the
+// fact at index fi — exactly the images created by inserting that fact
+// — deduplicated per answer tuple across anchor atoms (an image using
+// fi in two atoms is found once per anchor). ok is false when more than
+// maxImages images are anchored at the fact (0 means DefaultMaxImages);
+// callers then drop their compiled state and fall back to full
+// recomputation.
+func (inst *Instance) AnchoredWitnesses(q *cq.Query, fi int, maxImages int) ([]Witness, bool) {
 	c := q.CompileFor(inst.D)
-	var out []Witness
-	seen := make(map[string]bool)
-	scratch := make([]int, 0, len(q.Atoms))
+	ws := newWitnessSet(q, maxImages)
 	overflow := false
 	for ai := 0; ai < c.NumAtoms() && !overflow; ai++ {
 		c.AnchoredMatches(ai, fi, func(binding []int32, facts []int) bool {
-			w, key := canonWitness(facts, scratch)
-			if seen[key] {
-				return true
-			}
-			seen[key] = true
-			out = append(out, Witness{Tuple: c.AnswerOf(binding), Facts: append([]int(nil), w...)})
-			if len(out) > maxImages {
-				overflow = true
-				return false
-			}
-			return true
+			overflow = !ws.add(c.AnswerOf(binding), facts)
+			return !overflow
 		})
 	}
 	if overflow {
 		return nil, false
 	}
-	return out, true
+	return ws.out, true
 }

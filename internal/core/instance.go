@@ -106,18 +106,6 @@ func (inst *Instance) IsConsistent(s rel.Subset) bool {
 	return true
 }
 
-// ViolatingPairs returns the conflict pairs both of whose facts are
-// present in s — the pair components of V(s(D), Σ) modulo FD labels.
-func (inst *Instance) ViolatingPairs(s rel.Subset) [][2]int {
-	var out [][2]int
-	for _, p := range inst.pairs {
-		if s.Has(p[0]) && s.Has(p[1]) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Op is a D-operation −F (Definition 3.1) identified by the removed
 // fact indices. J == -1 encodes a singleton removal −{f_I}; otherwise
 // the pair removal −{f_I, f_J} with I < J.

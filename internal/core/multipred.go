@@ -114,19 +114,6 @@ func (mp *MultiPred) Tuples() []cq.Tuple { return mp.tuples }
 // evaluated by the fallback search per draw.
 func (mp *MultiPred) OverflowCount() int { return mp.nOverflow }
 
-// TupleWitnesses exposes tuple t's compiled witness-image index sets,
-// in Tuples() order. ok is false when the tuple overflowed the compile
-// cap (no compiled sets exist). The returned slices are the compiled
-// tables themselves and must not be modified — callers that maintain
-// witness state across mutations (the delta-estimation layer) copy what
-// they keep.
-func (mp *MultiPred) TupleWitnesses(t int) ([][]int, bool) {
-	if t < 0 || t >= len(mp.tuples) || mp.overflow[t] {
-		return nil, false
-	}
-	return mp.witnesses[t], true
-}
-
 // Witnesses reports the total number of compiled witness index sets
 // across all non-overflowed tuples.
 func (mp *MultiPred) Witnesses() int {

@@ -19,9 +19,6 @@ func NewSubset(n int) Subset {
 	return Subset{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// Universe reports the size n of the underlying universe.
-func (s Subset) Universe() int { return s.n }
-
 // Set marks index i as present.
 func (s Subset) Set(i int) { s.words[i/64] |= 1 << uint(i%64) }
 

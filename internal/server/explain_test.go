@@ -37,12 +37,13 @@ func postExplainQuery(t *testing.T, base, id string, req QueryRequest) QueryResp
 // TestExplainQuery is the endpoint e2e: with ?explain=1 an approx
 // query returns the pre-sampling plan, the phase spans and the
 // convergence curve; without it the response carries no explain
-// payload at all (trace off by default).
+// payload at all (trace off by default). M^us takes the sampling
+// route; M^ur's delta-exact route is TestExplainDeltaExactCold.
 func TestExplainQuery(t *testing.T) {
 	ts, _ := newTestServer(t, Options{CacheSize: -1})
 	reg := register(t, ts.URL, pkFacts, pkFDs)
 	req := QueryRequest{
-		Generator: "ur", Mode: "approx",
+		Generator: "us", Mode: "approx",
 		Query:   "Ans() :- Emp(1, 'Alice')",
 		Epsilon: 0.2, Delta: 0.1, Seed: 5,
 	}
@@ -87,6 +88,42 @@ func TestExplainQuery(t *testing.T) {
 	}
 	if !sawPlan || !sawSample {
 		t.Fatalf("spans missing plan/sample phases: %+v", ex.Spans)
+	}
+}
+
+// TestExplainDeltaExactCold: on a never-mutated instance an M^ur
+// estimate whose clusters all enumerate is answered from the product
+// form — the plan reports delta-exact, the trace carries the
+// delta-refresh span, and nothing is drawn.
+func TestExplainDeltaExactCold(t *testing.T) {
+	ts, _ := newTestServer(t, Options{CacheSize: -1})
+	reg := register(t, ts.URL, pkFacts, pkFDs)
+	resp := postExplainQuery(t, ts.URL, reg.ID, QueryRequest{
+		Generator: "ur", Mode: "approx",
+		Query:   "Ans() :- Emp(1, 'Alice')",
+		Epsilon: 0.2, Delta: 0.1, Seed: 5,
+	})
+	ex := resp.Explain
+	if ex == nil {
+		t.Fatal("?explain=1 response carries no explain payload")
+	}
+	if ex.Plan.Route != ocqa.RouteDeltaExact {
+		t.Fatalf("plan route = %q, want %q", ex.Plan.Route, ocqa.RouteDeltaExact)
+	}
+	if ex.ActualDraws != 0 || ex.Plan.PredictedDraws != 0 {
+		t.Fatalf("delta-exact run drew: actual %d, predicted %d", ex.ActualDraws, ex.Plan.PredictedDraws)
+	}
+	var sawRefresh bool
+	for _, sp := range ex.Spans {
+		if sp.Name == "delta-refresh" {
+			sawRefresh = true
+		}
+	}
+	if !sawRefresh {
+		t.Fatalf("spans missing delta-refresh: %+v", ex.Spans)
+	}
+	if len(resp.Answers) != 1 || resp.Answers[0].Value != 1.0/3 {
+		t.Fatalf("answers = %+v, want the exact 1/3", resp.Answers)
 	}
 }
 
@@ -218,7 +255,7 @@ func TestFlightRecorderGatedOff(t *testing.T) {
 
 // TestFlightRecorderBounded: under a concurrent query storm the rings
 // stay bounded at their documented sizes while the total keeps
-// counting, and the records carry traces.
+// counting, and the records carry traces (of M^us sampling runs).
 func TestFlightRecorderBounded(t *testing.T) {
 	ts, _ := newTestServer(t, Options{EnableDebugQueries: true, CacheSize: -1})
 	reg := register(t, ts.URL, pkFacts, pkFDs)
@@ -234,7 +271,7 @@ func TestFlightRecorderBounded(t *testing.T) {
 			defer wg.Done()
 			for i := range jobs {
 				body := jsonBytes(QueryRequest{
-					Generator: "ur", Mode: "approx",
+					Generator: "us", Mode: "approx",
 					Query:   "Ans() :- Emp(1, 'Alice')",
 					Epsilon: 0.3, Delta: 0.2, Seed: int64(i + 1),
 				})
@@ -307,7 +344,7 @@ func TestFlightRecorderBounded(t *testing.T) {
 
 // TestSlowQueryLog: a threshold of 1ns makes every query slow; the log
 // line must carry the request id, the trace spans and the convergence
-// terminal.
+// terminal, so the query samples (M^us).
 func TestSlowQueryLog(t *testing.T) {
 	var buf bytes.Buffer
 	var mu sync.Mutex
@@ -316,7 +353,7 @@ func TestSlowQueryLog(t *testing.T) {
 	reg := register(t, ts.URL, pkFacts, pkFDs)
 	var resp QueryResponse
 	if status := do(t, http.MethodPost, ts.URL+"/v1/instances/"+reg.ID+"/query", QueryRequest{
-		Generator: "ur", Mode: "approx",
+		Generator: "us", Mode: "approx",
 		Query:   "Ans() :- Emp(1, 'Alice')",
 		Epsilon: 0.2, Delta: 0.1, Seed: 5,
 	}, &resp); status != http.StatusOK {

@@ -38,6 +38,9 @@ func bigBlockFacts(blocks int) string {
 // finish inside the server deadline must come back 504 carrying the
 // partial estimate, the draws already spent, the Cancelled mark and
 // the request id — and the engine's cancelled-run counter must move.
+// M^uo keeps the whole-instance sampler (M^ur answers this query
+// exactly, without drawing) at a per-draw cost that crosses a chunk
+// boundary well inside the cancellation grace.
 func TestCancellationAccounting(t *testing.T) {
 	ts, _ := newTestServer(t, Options{
 		QueryTimeout: 25 * time.Millisecond,
@@ -47,7 +50,7 @@ func TestCancellationAccounting(t *testing.T) {
 
 	cancelledBefore := engine.CancelledRuns()
 	body, _ := jsonBody(t, QueryRequest{
-		Generator: "ur", Mode: "approx",
+		Generator: "uo", Mode: "approx",
 		Query: "Ans() :- R(k1, 'va1')",
 		// Tight (ε, δ) so the stopping rule needs millions of draws —
 		// far beyond what 25ms allows on a 600-fact instance.
@@ -121,8 +124,10 @@ func TestEveryResponseEmbedsCost(t *testing.T) {
 		t.Errorf("cache-hit cost = %+v, want Cached=true", cached.Cost)
 	}
 
+	// M^us samples; M^ur would answer from the product form, drawing
+	// nothing.
 	var approx QueryResponse
-	areq := QueryRequest{Generator: "ur", Mode: "approx", Query: "Ans(n) :- Emp(i, n)", Tuple: "Alice", Seed: 5}
+	areq := QueryRequest{Generator: "us", Mode: "approx", Query: "Ans(n) :- Emp(i, n)", Tuple: "Alice", Seed: 5}
 	if st := do(t, http.MethodPost, base+"/query", areq, &approx); st != http.StatusOK {
 		t.Fatalf("approx query: status %d", st)
 	}

@@ -73,6 +73,12 @@ func (rd reader) count(what string, limit uint64) (int, error) {
 	if n > limit {
 		return 0, fmt.Errorf("store: %s count %d exceeds sanity limit %d", what, n, limit)
 	}
+	// Every counted item occupies at least one byte after its count, so
+	// a larger count is corrupt; rejecting it here keeps a forged count
+	// from sizing an allocation.
+	if n > uint64(rd.r.Len()) {
+		return 0, fmt.Errorf("store: %s count %d exceeds the remaining %d bytes", what, n, rd.r.Len())
+	}
 	return int(n), nil
 }
 

@@ -74,6 +74,21 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestCodecRejectsForgedCounts: a header claiming more items than bytes
+// remain is refused before the count sizes any allocation (a 2^28-fact
+// v1 claim would otherwise reserve gigabytes from a 12-byte input).
+func TestCodecRejectsForgedCounts(t *testing.T) {
+	var b bytes.Buffer
+	b.Write(instanceMagic)
+	putUvarint(&b, codecV1)
+	putUvarint(&b, 0)       // relations
+	putUvarint(&b, 0)       // FDs
+	putUvarint(&b, 1<<28-1) // facts, none following
+	if _, _, err := DecodeInstance(bytes.NewReader(b.Bytes())); err == nil {
+		t.Fatal("forged fact count accepted")
+	}
+}
+
 func TestWALReplayAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	d, sigma := fixture(t)

@@ -438,44 +438,27 @@ func (in *Instance) checkApproximable(mode Mode, force bool) error {
 	}
 }
 
-// preparedSamplers carries pre-built, shareable sampler artifacts into
-// the estimation paths. The zero value means "build on demand" — the
-// behaviour of a bare Instance. A Prepared instance fills it once so
-// every subsequent query performs zero sampler constructions.
-type preparedSamplers struct {
-	block     *sampler.BlockSampler
-	seq, seq1 *sampler.SequenceSampler
-}
-
-// sequence returns the prepared sequence sampler for the operation
-// space, or nil when none was prepared.
-func (ps preparedSamplers) sequence(singleton bool) *sampler.SequenceSampler {
-	if singleton {
-		return ps.seq1
+// blockFor returns the prepared block sampler. Where none is prepared
+// (constraint classes other than primary keys) it constructs one per
+// call, and the construction's error explains a refusal.
+func (p *Prepared) blockFor(mode Mode) (*sampler.BlockSampler, error) {
+	if bs := p.blockSampler(); bs != nil {
+		return bs, nil
 	}
-	return ps.seq
-}
-
-// blockOr returns the prepared block sampler, building one when the
-// caller came in without preparation.
-func (in *Instance) blockOr(ps preparedSamplers, mode Mode) (*sampler.BlockSampler, error) {
-	if ps.block != nil {
-		return ps.block, nil
-	}
-	bs, err := sampler.NewBlockSampler(in.inner)
+	bs, err := sampler.NewBlockSampler(p.inner)
 	if err != nil {
 		return nil, fmt.Errorf("ocqa: %s sampler unavailable: %w", mode.Symbol(), err)
 	}
 	return bs, nil
 }
 
-// sequenceOr returns the prepared sequence sampler for the operation
-// space, building one when the caller came in without preparation.
-func (in *Instance) sequenceOr(ps preparedSamplers, mode Mode) (*sampler.SequenceSampler, error) {
-	if ss := ps.sequence(mode.Singleton); ss != nil {
+// sequenceFor is blockFor for the sequence sampler of the mode's
+// operation space.
+func (p *Prepared) sequenceFor(mode Mode) (*sampler.SequenceSampler, error) {
+	if ss := p.seqSampler(mode.Singleton); ss != nil {
 		return ss, nil
 	}
-	ss, err := sampler.NewSequenceSampler(in.inner, mode.Singleton)
+	ss, err := sampler.NewSequenceSampler(p.inner, mode.Singleton)
 	if err != nil {
 		return nil, fmt.Errorf("ocqa: %s sampler unavailable: %w", mode.Symbol(), err)
 	}
@@ -491,22 +474,25 @@ func (in *Instance) sequenceOr(ps preparedSamplers, mode Mode) (*sampler.Sequenc
 // expired context stops the draws within one chunk per worker and
 // returns the context's error (wrapped; match with errors.Is against
 // context.Canceled / context.DeadlineExceeded).
+//
+// It is Prepared.Approximate on a lazy prepare (PrepareLazy), so the
+// two answer identically by construction, routing included.
 func (in *Instance) Approximate(ctx context.Context, mode Mode, q *Query, c Tuple, opts ApproxOptions) (Estimate, error) {
-	return in.approximate(ctx, preparedSamplers{}, mode, q, c, opts)
+	return in.PrepareLazy().Approximate(ctx, mode, q, c, opts)
 }
 
 // subsetDrawer returns a per-worker factory of repair drawers for the
 // mode: one call of the inner function draws one repair subset under
 // the mode's sampler. It is the sampling substrate shared by the
 // single-tuple and the multi-tuple estimation paths.
-func (in *Instance) subsetDrawer(ps preparedSamplers, mode Mode) (func() func(*rand.Rand) rel.Subset, error) {
+func (p *Prepared) subsetDrawer(mode Mode) (func() func(*rand.Rand) rel.Subset, error) {
 	switch mode.Gen {
 	case UniformRepairs:
 		// One shared sampler: the block decomposition is immutable
 		// after construction and SampleRepair is concurrency-safe, so
 		// every worker draws from the same tables; only the rng is
 		// per-worker.
-		bs, err := in.blockOr(ps, mode)
+		bs, err := p.blockFor(mode)
 		if err != nil {
 			return nil, err
 		}
@@ -518,7 +504,7 @@ func (in *Instance) subsetDrawer(ps preparedSamplers, mode Mode) (func() func(*r
 		// distribution as Algorithm 1 with O(‖D‖) work per sample. Its
 		// DP tables are immutable after construction and safe to
 		// share; only the rng is per-worker.
-		ss, err := in.sequenceOr(ps, mode)
+		ss, err := p.sequenceFor(mode)
 		if err != nil {
 			return nil, err
 		}
@@ -533,7 +519,7 @@ func (in *Instance) subsetDrawer(ps preparedSamplers, mode Mode) (func() func(*r
 		// receives its own instance via the factory; construction only
 		// snapshots the (already computed) conflict bookkeeping.
 		return func() func(*rand.Rand) rel.Subset {
-			walker := sampler.NewUOWalker(in.inner)
+			walker := sampler.NewUOWalker(p.inner)
 			return func(rng *rand.Rand) rel.Subset {
 				return walker.WalkResult(rng, mode.Singleton)
 			}
@@ -541,20 +527,21 @@ func (in *Instance) subsetDrawer(ps preparedSamplers, mode Mode) (func() func(*r
 	}
 }
 
-func (in *Instance) approximate(ctx context.Context, ps preparedSamplers, mode Mode, q *Query, c Tuple, opts ApproxOptions) (Estimate, error) {
+// approximate is the whole-instance estimation of one target.
+func (p *Prepared) approximate(ctx context.Context, mode Mode, q *Query, c Tuple, opts ApproxOptions) (Estimate, error) {
 	opts.fill()
-	if err := in.checkApproximable(mode, opts.Force); err != nil {
+	if err := p.checkApproximable(mode, opts.Force); err != nil {
 		return Estimate{}, err
 	}
 
 	// Prefer the witness-image predicate: it avoids materialising a
 	// database per sample in the Monte-Carlo loop.
 	endCompile := engine.TraceFrom(ctx).StartSpan("compile")
-	pred, ok := in.inner.WitnessPred(q, c, 0)
+	pred, ok := p.inner.WitnessPred(q, c, 0)
 	if !ok {
-		pred = in.inner.EntailPred(q, c)
+		pred = p.inner.EntailPred(q, c)
 	}
-	newSubset, err := in.subsetDrawer(ps, mode)
+	newSubset, err := p.subsetDrawer(mode)
 	endCompile()
 	if err != nil {
 		return Estimate{}, err
@@ -565,14 +552,14 @@ func (in *Instance) approximate(ctx context.Context, ps preparedSamplers, mode M
 	}
 	// Workers = 0 resolves adaptively from the conflict structure and
 	// the committed draw budget; an explicit request passes through.
-	opts.Workers = engine.ResolveWorkers(opts.Workers, in.parallelHint(), int64(opts.MaxSamples))
+	opts.Workers = engine.ResolveWorkers(opts.Workers, p.parallelHint(), int64(opts.MaxSamples))
 
 	var est Estimate
 	switch {
 	case opts.UseChernoff:
-		pmin := in.worstCaseLowerBound(mode, q)
+		pmin := p.worstCaseLowerBound(mode, q)
 		if pmin <= 0 {
-			return Estimate{}, fmt.Errorf("ocqa: worst-case lower bound underflows for ‖D‖=%d, ‖Q‖=%d; use the stopping rule", in.db.Len(), q.Size())
+			return Estimate{}, fmt.Errorf("ocqa: worst-case lower bound underflows for ‖D‖=%d, ‖Q‖=%d; use the stopping rule", p.db.Len(), q.Size())
 		}
 		n := fpras.ChernoffSamples(opts.Epsilon, opts.Delta, pmin)
 		est, err = engine.EstimateFixed(ctx, newDraw, n, opts.Seed, opts.Workers)
@@ -622,31 +609,29 @@ func (in *Instance) worstCaseLowerBound(mode Mode, q *Query) float64 {
 // estimate and variance, which is inherently single-target).
 // Cancelling ctx stops the shared pass within one sample chunk per
 // worker; like Approximate, the partial per-tuple estimates accompany
-// the wrapped context error.
+// the wrapped context error. It is Prepared.ApproximateAnswers on a
+// lazy prepare.
 func (in *Instance) ApproximateAnswers(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, error) {
-	compile := func(q *Query) *core.MultiPred { return in.inner.CompileMultiPred(q, 0) }
-	out, _, err := in.approximateAnswers(ctx, preparedSamplers{}, compile, mode, q, opts)
-	return out, err
+	return in.PrepareLazy().ApproximateAnswers(ctx, mode, q, opts)
 }
 
-// approximateAnswers runs the shared-draw answers estimation. compile
-// supplies the multi-tuple witness predicate — the bare Instance
-// compiles per call, a Prepared instance serves its per-fingerprint
-// cache — and is only invoked once the approximability check passed,
-// on the shared-pass path alone (the per-tuple 𝒜𝒜 loop builds its own
+// approximateAnswers runs the shared-draw answers estimation over the
+// prepared samplers and the per-fingerprint witness-set cache; the
+// compile happens only once the approximability check passed, on the
+// shared-pass path alone (the per-tuple 𝒜𝒜 loop builds its own
 // single-tuple predicates and needs only the candidate list). The
 // returned Accounting is the run-level record of the shared pass, or
 // the per-tuple sum on the 𝒜𝒜 path.
-func (in *Instance) approximateAnswers(ctx context.Context, ps preparedSamplers, compile func(*Query) *core.MultiPred, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, Accounting, error) {
+func (p *Prepared) approximateAnswers(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, Accounting, error) {
 	opts.fill()
-	if err := in.checkApproximable(mode, opts.Force); err != nil {
+	if err := p.checkApproximable(mode, opts.Force); err != nil {
 		return nil, Accounting{}, err
 	}
 	if opts.UseAA {
 		var out []ApproxAnswer
 		var total Accounting
-		for _, c := range q.Answers(in.db) {
-			e, err := in.approximate(ctx, ps, mode, q, c, opts)
+		for _, c := range q.Answers(p.db) {
+			e, err := p.approximate(ctx, mode, q, c, opts)
 			total.Draws += e.Acct.Draws
 			total.Chunks += e.Acct.Chunks
 			total.WallNanos += e.Acct.WallNanos
@@ -660,13 +645,13 @@ func (in *Instance) approximateAnswers(ctx context.Context, ps preparedSamplers,
 		return out, total, nil
 	}
 	endCompile := engine.TraceFrom(ctx).StartSpan("compile")
-	mp := compile(q)
+	mp := p.multiPred(q)
 	tuples := mp.Tuples()
 	if len(tuples) == 0 {
 		endCompile()
 		return nil, Accounting{}, nil
 	}
-	newSubset, err := in.subsetDrawer(ps, mode)
+	newSubset, err := p.subsetDrawer(mode)
 	endCompile()
 	if err != nil {
 		return nil, Accounting{}, err
@@ -679,12 +664,12 @@ func (in *Instance) approximateAnswers(ctx context.Context, ps preparedSamplers,
 	}
 	// Same adaptive resolution as the single-tuple path; the shared
 	// pass has one pool for all targets.
-	opts.Workers = engine.ResolveWorkers(opts.Workers, in.parallelHint(), int64(opts.MaxSamples))
+	opts.Workers = engine.ResolveWorkers(opts.Workers, p.parallelHint(), int64(opts.MaxSamples))
 	var ests []Estimate
 	if opts.UseChernoff {
-		pmin := in.worstCaseLowerBound(mode, q)
+		pmin := p.worstCaseLowerBound(mode, q)
 		if pmin <= 0 {
-			return nil, Accounting{}, fmt.Errorf("ocqa: worst-case lower bound underflows for ‖D‖=%d, ‖Q‖=%d; use the stopping rule", in.db.Len(), q.Size())
+			return nil, Accounting{}, fmt.Errorf("ocqa: worst-case lower bound underflows for ‖D‖=%d, ‖Q‖=%d; use the stopping rule", p.db.Len(), q.Size())
 		}
 		n := fpras.ChernoffSamples(opts.Epsilon, opts.Delta, pmin)
 		ests, err = engine.EstimateFixedMulti(ctx, newMulti, len(tuples), n, opts.Seed, opts.Workers)
@@ -744,7 +729,8 @@ type Prepared struct {
 	blockOnce sync.Once
 	seqOnce   sync.Once
 	seq1Once  sync.Once
-	ps        preparedSamplers
+	block     *sampler.BlockSampler
+	seq, seq1 *sampler.SequenceSampler
 
 	// predMu guards preds, the compiled multi-tuple witness sets keyed
 	// by query fingerprint (the canonical rendering): each distinct
@@ -760,11 +746,11 @@ type Prepared struct {
 	// a build.
 	built atomic.Bool
 
-	// deltaMu guards delta, the incremental-estimation state (see
+	// deltaMu guards delta, the product-form estimation state (see
 	// delta.go): per-query witness images, per-block factor caches and
 	// per-stratum draw statistics. ApplyInsert/ApplyDelete carry it —
-	// warm — into the derived Prepared; on a cold Prepared it builds
-	// lazily the first time a delta path runs.
+	// warm — into the derived Prepared; otherwise it builds lazily the
+	// first time a delta path runs.
 	deltaMu sync.Mutex
 	delta   *deltaState
 
@@ -817,10 +803,10 @@ func (p *Prepared) recordUsage(a Accounting) {
 // the prepared block sampler only if the deferred build has already
 // completed, so a metrics scrape never pays for DP-table construction.
 func (p *Prepared) BlockCount() (int, bool) {
-	if !p.built.Load() || p.ps.block == nil {
+	if !p.built.Load() || p.block == nil {
 		return 0, false
 	}
-	return len(p.ps.block.Blocks()), true
+	return len(p.block.Blocks()), true
 }
 
 // maxCachedPreds bounds the per-instance witness-set cache: past it
@@ -931,10 +917,10 @@ func (p *Prepared) blockSampler() *sampler.BlockSampler {
 		return nil
 	}
 	p.blockOnce.Do(func() {
-		p.ps.block, _ = sampler.NewBlockSampler(p.inner)
+		p.block, _ = sampler.NewBlockSampler(p.inner)
 		p.built.Store(true)
 	})
-	return p.ps.block
+	return p.block
 }
 
 // seqSampler returns the shared sequence sampler for the operation
@@ -945,53 +931,38 @@ func (p *Prepared) seqSampler(singleton bool) *sampler.SequenceSampler {
 		return nil
 	}
 	if singleton {
-		p.seq1Once.Do(func() { p.ps.seq1, _ = sampler.NewSequenceSampler(p.inner, true) })
-		return p.ps.seq1
+		p.seq1Once.Do(func() { p.seq1, _ = sampler.NewSequenceSampler(p.inner, true) })
+		return p.seq1
 	}
-	p.seqOnce.Do(func() { p.ps.seq, _ = sampler.NewSequenceSampler(p.inner, false) })
-	return p.ps.seq
+	p.seqOnce.Do(func() { p.seq, _ = sampler.NewSequenceSampler(p.inner, false) })
+	return p.seq
 }
 
-// samplersFor assembles the prepared artifacts the mode's estimation
-// path will consult, building only those: an M^ur marginals pass over
-// a million-fact instance never pays for the sequence DP, and a
-// sequence-mode query never waits on anything but its own table.
-func (p *Prepared) samplersFor(mode Mode) preparedSamplers {
-	var ps preparedSamplers
-	switch mode.Gen {
-	case UniformRepairs:
-		ps.block = p.blockSampler()
-	case UniformSequences:
-		if mode.Singleton {
-			ps.seq1 = p.seqSampler(true)
-		} else {
-			ps.seq = p.seqSampler(false)
-		}
-	}
-	return ps
-}
-
-// Approximate is Instance.Approximate backed by the prepared samplers:
-// for primary-key instances it performs zero sampler constructions
-// beyond the one deferred build per artifact.
-// On a generation derived by ApplyInsert/ApplyDelete, eligible queries
-// route through the delta-stratified estimator (delta.go), which reuses
-// the previous generation's per-stratum draws; cold generations behave
-// exactly like the classic estimators.
+// Approximate estimates P_{M,Q}(D, c̄) as documented on
+// Instance.Approximate, on the prepared samplers: for primary-key
+// instances it performs zero sampler constructions beyond the one
+// deferred build per artifact. Default stopping-rule estimates under
+// M^ur and M^{ur,1} with primary keys answer from the block product
+// form (delta.go), mutated or not: enumerable clusters contribute exact
+// factors with zero draws, larger clusters draw only their own blocks,
+// and after ApplyInsert/ApplyDelete the untouched strata's draws are
+// reused. The other modes, UseAA, UseChernoff and queries the
+// decomposition declines run the whole-instance estimators.
 func (p *Prepared) Approximate(ctx context.Context, mode Mode, q *Query, c Tuple, opts ApproxOptions) (Estimate, error) {
 	if est, ok, err := p.deltaApproximate(ctx, mode, q, c, opts); ok {
 		p.recordUsage(est.Acct)
 		return est, err
 	}
-	est, err := p.Instance.approximate(ctx, p.samplersFor(mode), mode, q, c, opts)
+	est, err := p.approximate(ctx, mode, q, c, opts)
 	p.recordUsage(est.Acct)
 	return est, err
 }
 
-// ApproximateAnswers is Instance.ApproximateAnswers over the prepared
-// samplers and the per-fingerprint witness-set cache: repeated answers
-// queries for the same query perform zero sampler constructions and
-// zero homomorphism enumerations.
+// ApproximateAnswers estimates every candidate answer as documented on
+// Instance.ApproximateAnswers, on the prepared samplers and the
+// per-fingerprint witness-set cache: repeated answers queries for the
+// same query perform zero sampler constructions and zero homomorphism
+// enumerations.
 func (p *Prepared) ApproximateAnswers(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, error) {
 	out, _, err := p.ApproximateAnswersAcct(ctx, mode, q, opts)
 	return out, err
@@ -1004,7 +975,7 @@ func (p *Prepared) ApproximateAnswersAcct(ctx context.Context, mode Mode, q *Que
 		p.recordUsage(acct)
 		return out, acct, err
 	}
-	out, acct, err := p.Instance.approximateAnswers(ctx, p.samplersFor(mode), p.multiPred, mode, q, opts)
+	out, acct, err := p.approximateAnswers(ctx, mode, q, opts)
 	p.recordUsage(acct)
 	return out, acct, err
 }
@@ -1025,8 +996,9 @@ func (p *Prepared) ConsistentAnswers(mode Mode, q *Query, limit int) ([]Consiste
 	return p.inner.ConsistentAnswersWith(p.multiPred(q), mode, limit)
 }
 
-// ApproximateFactMarginals is Instance.ApproximateFactMarginals over
-// the prepared samplers.
+// ApproximateFactMarginals estimates every fact's survival probability
+// as documented on Instance.ApproximateFactMarginals, on the prepared
+// samplers.
 func (p *Prepared) ApproximateFactMarginals(ctx context.Context, mode Mode, opts ApproxOptions) ([]float64, error) {
 	out, _, err := p.ApproximateFactMarginalsAcct(ctx, mode, opts)
 	return out, err
@@ -1035,7 +1007,7 @@ func (p *Prepared) ApproximateFactMarginals(ctx context.Context, mode Mode, opts
 // ApproximateFactMarginalsAcct is ApproximateFactMarginals with the
 // run's cost accounting.
 func (p *Prepared) ApproximateFactMarginalsAcct(ctx context.Context, mode Mode, opts ApproxOptions) ([]float64, Accounting, error) {
-	out, acct, err := p.Instance.approximateFactMarginals(ctx, p.samplersFor(mode), mode, opts)
+	out, acct, err := p.approximateFactMarginals(ctx, mode, opts)
 	p.recordUsage(acct)
 	return out, acct, err
 }
@@ -1144,29 +1116,29 @@ func (in *Instance) FactMarginals(mode Mode, limit int) ([]FactMarginal, error) 
 // and the vectors are merged, so one drawn repair still updates every
 // fact's counter in a single pass and the result is deterministic in
 // (Seed, Workers). Cancelling ctx stops the draws within one chunk per
-// worker and returns the context's error.
+// worker and returns the context's error. It is
+// Prepared.ApproximateFactMarginals on a lazy prepare.
 func (in *Instance) ApproximateFactMarginals(ctx context.Context, mode Mode, opts ApproxOptions) ([]float64, error) {
-	out, _, err := in.approximateFactMarginals(ctx, preparedSamplers{}, mode, opts)
-	return out, err
+	return in.PrepareLazy().ApproximateFactMarginals(ctx, mode, opts)
 }
 
-func (in *Instance) approximateFactMarginals(ctx context.Context, ps preparedSamplers, mode Mode, opts ApproxOptions) ([]float64, Accounting, error) {
+func (p *Prepared) approximateFactMarginals(ctx context.Context, mode Mode, opts ApproxOptions) ([]float64, Accounting, error) {
 	opts.fillMarginals()
-	if err := in.checkApproximable(mode, opts.Force); err != nil {
+	if err := p.checkApproximable(mode, opts.Force); err != nil {
 		return nil, Accounting{}, err
 	}
 	endCompile := engine.TraceFrom(ctx).StartSpan("compile")
-	newCounter, always, err := in.countingDrawer(ps, mode)
+	newCounter, always, err := p.countingDrawer(mode)
 	endCompile()
 	if err != nil {
 		return nil, Accounting{}, err
 	}
-	opts.Workers = engine.ResolveWorkers(opts.Workers, in.parallelHint(), int64(opts.MaxSamples))
-	counts, acct, err := engine.MarginalsAcct(ctx, newCounter, in.db.Len(), opts.MaxSamples, opts.Seed, opts.Workers)
+	opts.Workers = engine.ResolveWorkers(opts.Workers, p.parallelHint(), int64(opts.MaxSamples))
+	counts, acct, err := engine.MarginalsAcct(ctx, newCounter, p.db.Len(), opts.MaxSamples, opts.Seed, opts.Workers)
 	if err != nil {
 		return nil, acct, fmt.Errorf("ocqa: marginal estimation stopped: %w", err)
 	}
-	out := make([]float64, in.db.Len())
+	out := make([]float64, p.db.Len())
 	for i, c := range counts {
 		out[i] = float64(c) / float64(acct.Draws)
 	}
@@ -1183,14 +1155,13 @@ func (in *Instance) approximateFactMarginals(ctx context.Context, ps preparedSam
 // survival counter of each of its facts — plus the indices of facts
 // that survive every repair (only the block-based M^ur drawer skips
 // those per draw; the other modes count them like any other fact).
-// Prepared samplers are reused when available.
-func (in *Instance) countingDrawer(ps preparedSamplers, mode Mode) (func() engine.CountSampler, []int, error) {
+func (p *Prepared) countingDrawer(mode Mode) (func() engine.CountSampler, []int, error) {
 	switch mode.Gen {
 	case UniformRepairs:
 		// The block decomposition is shared across workers (immutable,
 		// concurrency-safe); fixed facts are hoisted out of the hot
 		// loop entirely, so a draw costs O(#blocks), not O(‖D‖).
-		bs, err := in.blockOr(ps, mode)
+		bs, err := p.blockFor(mode)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -1200,7 +1171,7 @@ func (in *Instance) countingDrawer(ps preparedSamplers, mode Mode) (func() engin
 			}
 		}, bs.FixedIndices(), nil
 	case UniformSequences:
-		ss, err := in.sequenceOr(ps, mode)
+		ss, err := p.sequenceFor(mode)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -1214,7 +1185,7 @@ func (in *Instance) countingDrawer(ps preparedSamplers, mode Mode) (func() engin
 		// The walker carries per-walk mutable state: one instance per
 		// worker via the factory.
 		return func() engine.CountSampler {
-			walker := sampler.NewUOWalker(in.inner)
+			walker := sampler.NewUOWalker(p.inner)
 			return func(rng *rand.Rand, counts []int) {
 				walker.WalkAddCounts(rng, mode.Singleton, counts)
 			}

@@ -51,14 +51,16 @@ const (
 	RouteSharedMultiDKLR     = "shared-multi-dklr"
 	// RouteCached: the result came from a cache; zero draws.
 	RouteCached = "cached"
-	// RouteDeltaExact: a warm prior generation exists and every cluster
-	// of the target's block decomposition is exactly enumerable — the
-	// delta engine answers from cached per-block factors with zero
-	// draws (delta.go).
+	// RouteDeltaExact: M^ur under primary keys with the default
+	// estimator, and every cluster of the target's block decomposition
+	// is exactly enumerable — the product form answers from per-block
+	// factors with zero draws (delta.go). Mutation history plays no
+	// part.
 	RouteDeltaExact = "delta-exact"
-	// RouteDeltaStratified: a warm prior generation exists and the
-	// decomposition has sampled strata — carried stratum statistics are
-	// reused, only changed strata are redrawn.
+	// RouteDeltaStratified: as RouteDeltaExact, but the decomposition
+	// has clusters too large to enumerate, each drawn as its own stratum
+	// — fresh on a first query, and after a mutation only the changed
+	// strata are redrawn while carried statistics are reused.
 	RouteDeltaStratified = "delta-stratified"
 )
 
@@ -226,10 +228,9 @@ func (p *Prepared) PlanApproximate(mode Mode, q *Query, single bool, opts Approx
 		}
 	default:
 		if strata, ok := p.deltaPlanRoute(mode, q, opts); ok {
-			// A warm prior generation exists and the delta engine will
-			// answer (see Prepared.Approximate): delta-exact is a pure
-			// factor-cache refresh with zero draws; delta-stratified
-			// redraws at most the changed strata, each under a
+			// The product form will answer (see Prepared.Approximate):
+			// delta-exact multiplies per-block factors with zero draws;
+			// delta-stratified draws at most its S strata, each under a
 			// (ε/S, δ/S) stopping rule.
 			if strata == 0 {
 				plan.Route = RouteDeltaExact
@@ -238,8 +239,8 @@ func (p *Prepared) PlanApproximate(mode Mode, q *Query, single bool, opts Approx
 			plan.Route = RouteDeltaStratified
 			plan.MaxSamples = opts.MaxSamples
 			plan.Upsilon1 = upsilon1For(opts.Epsilon/float64(strata), opts.Delta/float64(strata))
-			// Coarse worst case across the S strata; warm runs that
-			// reuse carried statistics stop far below it.
+			// Coarse worst case across the S strata; runs that reuse
+			// carried statistics stop far below it.
 			if plan.PMin <= 0 {
 				plan.RequiredDraws = maxPlanDraws
 			} else {

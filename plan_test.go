@@ -125,6 +125,7 @@ func TestPlanEnvelopeOnScenarios(t *testing.T) {
 // TestPlanBudgetCapped: a request whose worst-case budget exceeds
 // MaxSamples must flag budget_capped instead of silently
 // under-delivering — and the clamped prediction must equal the cap.
+// M^us plans the stopping rule; M^ur here would plan delta-exact.
 func TestPlanBudgetCapped(t *testing.T) {
 	inst, err := ocqa.NewInstanceFromText("R(a,b)\nR(a,c)\nR(d,e)", "R: A1 -> A2")
 	if err != nil {
@@ -135,7 +136,7 @@ func TestPlanBudgetCapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
+	mode := ocqa.Mode{Gen: ocqa.UniformSequences}
 
 	tight := ocqa.ApproxOptions{Epsilon: 0.05, Delta: 0.01, MaxSamples: 100}
 	plan, err := p.PlanApproximate(mode, q, true, tight)
