@@ -77,7 +77,7 @@ const (
 	// deltaMaxSampledStrata caps the sampled clusters per target: the
 	// per-stratum guarantee tightens as (ε/S, δ/S), so past a small S
 	// the stratified budget exceeds the plain stopping rule's and the
-	// classic estimator wins.
+	// whole-instance estimator wins.
 	deltaMaxSampledStrata = 16
 )
 
@@ -760,7 +760,7 @@ func (dq *deltaQuery) liveTuples() ([]string, []Tuple, map[string][]core.Witness
 // statistics persist in dq.strata — a warm generation redraws only the
 // strata whose content signature changed and reuses the rest, reporting
 // the split as Acct.Draws (fresh) vs Acct.ReusedDraws. ok=false routes
-// the caller to the classic estimator. Caller holds dq.mu.
+// the caller to the whole-instance estimator. Caller holds dq.mu.
 func (p *Prepared) deltaApproxTarget(ctx context.Context, dq *deltaQuery, wits []core.Witness, mode Mode, opts ApproxOptions) (Estimate, bool, error) {
 	end := engine.TraceFrom(ctx).StartSpan("delta-refresh")
 	defer end()

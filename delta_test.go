@@ -336,6 +336,27 @@ func TestDeltaPlanRoutes(t *testing.T) {
 		t.Fatalf("cold sampled route = %q, want %q", plan.Route, ocqa.RouteDeltaStratified)
 	}
 
+	// Past the witness cap (64·64·128 images), or with another
+	// estimator, the whole-instance routes stay.
+	qOver := mustQuery(t, "Ans() :- R('b0', x), R('b1', y), R(k, z)")
+	for _, tc := range []struct {
+		q    *ocqa.Query
+		opts ocqa.ApproxOptions
+		want string
+	}{
+		{qOver, opts, ocqa.RouteDKLR},
+		{qBig, ocqa.ApproxOptions{Epsilon: 0.2, Delta: 0.1, UseAA: true}, ocqa.RouteAA},
+		{qBig, ocqa.ApproxOptions{Epsilon: 0.2, Delta: 0.1, UseChernoff: true}, ocqa.RouteChernoff},
+	} {
+		plan, err := pCold.PlanApproximate(mode, tc.q, true, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Route != tc.want {
+			t.Fatalf("%v %+v: route %q, want %q", tc.q, tc.opts, plan.Route, tc.want)
+		}
+	}
+
 	// Warm + sampled cluster: delta-stratified.
 	f, _ := ocqa.ParseFact("R(zz,w)")
 	pWarm, _, err := pCold.ApplyInsert(f)
