@@ -299,7 +299,13 @@ func EstimateAA(ctx context.Context, s Sampler, eps, delta float64, seed int64, 
 	for i := 0; i < n3; i++ {
 		x, ok := draw()
 		if !ok {
-			return finish(Estimate{Value: total / float64(i+1), Samples: used, Epsilon: eps, Delta: delta})
+			// i phase-3 draws were taken; with none, fall back to μ̂ as
+			// the phase-2 exit does.
+			mean := muHat
+			if i > 0 {
+				mean = total / float64(i)
+			}
+			return finish(Estimate{Value: mean, Samples: used, Epsilon: eps, Delta: delta})
 		}
 		total += x
 		if (i+1)%Chunk == 0 {

@@ -58,6 +58,27 @@ func TestEstimateAACapped(t *testing.T) {
 	}
 }
 
+// TestEstimateAAPhase3PartialMean: a run capped inside phase 3 reports
+// the mean of the phase-3 draws it actually took. With an always-true
+// sampler at ε=0.1, δ=0.05 phase 1 takes 156 draws and phase 2 takes
+// 557 pairs, so phase 3 starts at draw 1270; every phase-3 draw is a
+// success, so the partial mean must be 1 (μ̂ ≈ 1 when no phase-3 draw
+// was taken).
+func TestEstimateAAPhase3PartialMean(t *testing.T) {
+	for _, maxSamples := range []int{1270, 1271, 1275, 1400} {
+		e, err := EstimateAA(bg, bernoulli(1), 0.1, 0.05, 53, maxSamples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Converged || e.Samples != maxSamples {
+			t.Fatalf("cap %d: converged=%v samples=%d, want a capped run", maxSamples, e.Converged, e.Samples)
+		}
+		if math.Abs(e.Value-1) > 0.01 {
+			t.Fatalf("cap %d: partial mean %v of an always-true stream, want ≈ 1", maxSamples, e.Value)
+		}
+	}
+}
+
 func TestEstimateAAPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
