@@ -77,8 +77,8 @@ func SetRunHook(h RunHook) {
 }
 
 // record is the single exit point of every estimation run: it updates
-// the process-wide counters and fires the run hook. targets is 0 for
-// single-target phases.
+// the process-wide counters and fires the run hook. targets counts
+// only for the multi-target phases; single-target runs report 0.
 func record(phase Phase, targets int, acct Accounting) {
 	samplesDrawn.Add(acct.Draws)
 	if acct.Cancelled {
@@ -87,6 +87,8 @@ func record(phase Phase, targets int, acct Accounting) {
 	if phase == PhaseMultiFixed || phase == PhaseMultiStopping {
 		multiRuns.Add(1)
 		multiTargets.Add(int64(targets))
+	} else {
+		targets = 0
 	}
 	if h := runHook.Load(); h != nil {
 		(*h)(RunInfo{Phase: phase, Targets: targets, Acct: acct})

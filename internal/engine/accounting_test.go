@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -52,7 +54,7 @@ func TestAccountingFixed(t *testing.T) {
 // TestAccountingStoppingRuleParallel: Draws counts the discarded tail
 // (a multiple of workers×Chunk), Samples only the consumed prefix.
 func TestAccountingStoppingRuleParallel(t *testing.T) {
-	est, err := EstimateStoppingRuleParallel(context.Background(), coin(0.3), 0.2, 0.1, 7, 4, 0)
+	est, err := EstimateStoppingRule(context.Background(), coin(0.3), 0.2, 0.1, 7, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,5 +127,62 @@ func TestRunHook(t *testing.T) {
 	}
 	if len(infos) != 2 {
 		t.Fatal("hook fired after removal")
+	}
+}
+
+// TestSerialRunsStayOnCallerGoroutine: at workers=1 both drivers draw
+// on the caller's goroutine (no goroutine is spawned), report no
+// per-worker split, and a stopping-rule run draws exactly the prefix
+// it consumes.
+func TestSerialRunsStayOnCallerGoroutine(t *testing.T) {
+	// goid reads the running goroutine's id from its stack header,
+	// "goroutine N [running]:".
+	goid := func() string {
+		buf := make([]byte, 64)
+		return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+	}
+	caller := goid()
+	spawned := false
+	check := func() {
+		if goid() != caller {
+			spawned = true
+		}
+	}
+	single := func() Sampler {
+		return func(rng *rand.Rand) bool { check(); return rng.Float64() < 0.3 }
+	}
+	multi := func() MultiSampler {
+		return func(rng *rand.Rand, out []bool, _ []int) {
+			check()
+			u := rng.Float64()
+			out[0], out[1] = u < 0.5, u < 0.2
+		}
+	}
+	counter := func() CountSampler {
+		return func(rng *rand.Rand, counts []int) { check(); counts[rng.Intn(len(counts))]++ }
+	}
+	var accts []Accounting
+	fixed, _ := EstimateFixed(bg, single, 600, 1, 1)
+	rule, _ := EstimateStoppingRule(bg, single, 0.2, 0.1, 1, 1, 0)
+	capped, _ := EstimateStoppingRule(bg, single, 0.2, 0.1, 1, 1, 300)
+	fixedMulti, _ := EstimateFixedMulti(bg, multi, 2, 600, 1, 1)
+	ruleMulti, _ := EstimateStoppingRuleMulti(bg, multi, 2, 0.2, 0.1, 1, 1, 0)
+	_, marg, _ := Marginals(bg, counter, 4, 600, 1, 1)
+	accts = append(accts, fixed.Acct, rule.Acct, capped.Acct, fixedMulti[0].Acct, ruleMulti[0].Acct, marg)
+	if spawned {
+		t.Fatal("a workers=1 run drew off the caller's goroutine")
+	}
+	for i, a := range accts {
+		if a.PerWorker != nil || a.Workers != 1 {
+			t.Fatalf("run %d: workers=%d per-worker split %v, want a serial run", i, a.Workers, a.PerWorker)
+		}
+	}
+	for _, e := range []Estimate{rule, capped} {
+		if e.Acct.Draws != int64(e.Samples) {
+			t.Fatalf("serial stopping rule drew %d for a %d-draw prefix", e.Acct.Draws, e.Samples)
+		}
+	}
+	if last := max(ruleMulti[0].Samples, ruleMulti[1].Samples); ruleMulti[0].Acct.Draws != int64(last) {
+		t.Fatalf("serial multi rule drew %d, its last target stopped at %d", ruleMulti[0].Acct.Draws, last)
 	}
 }

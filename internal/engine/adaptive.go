@@ -2,171 +2,9 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"math/rand"
 	"time"
 )
-
-// EstimateStoppingRule implements the Dagum–Karp–Luby–Ross stopping-
-// rule algorithm [8] for Bernoulli variables: sample until the running
-// sum of successes reaches Υ₁ = 1 + 4(e−2)(1+ε)·ln(2/δ)/ε², and output
-// Υ₁/N. For any true mean μ > 0 it guarantees Pr[|est − μ| ≤ ε·μ] ≥
-// 1−δ with E[N] = O(ln(1/δ)/(ε²·μ)) — the "number of samples
-// proportional to 1/p" the paper refers to. maxSamples caps the run
-// (0 = no cap; the rule does not terminate when μ = 0): on exhaustion
-// the plain mean is returned with Converged = false.
-//
-// The context is checked once per Chunk draws; a cancelled run returns
-// the partial mean and ctx.Err().
-func EstimateStoppingRule(ctx context.Context, s Sampler, eps, delta float64, seed int64, maxSamples int) (Estimate, error) {
-	if eps <= 0 || eps >= 1 || delta <= 0 || delta >= 1 {
-		panic(fmt.Sprintf("engine: invalid parameters eps=%v delta=%v", eps, delta))
-	}
-	upsilon1 := 1 + (1+eps)*4*(math.E-2)*math.Log(2/delta)/(eps*eps)
-	tr := TraceFrom(ctx)
-	defer tr.StartSpan("sample:stopping-rule")()
-	start := time.Now()
-	rng := rngFor(seed, PhaseStoppingRule, 0)
-	sum := 0.0
-	n := 0
-	chunks := int64(0)
-	acct := func(cancelled bool) Accounting {
-		open := 1
-		if sum >= upsilon1 {
-			open = 0
-		}
-		tr.FinalCheckpoint(int64(n), safeDiv(sum, n), open)
-		a := Accounting{
-			Draws: int64(n), Chunks: chunks, Workers: 1,
-			WallNanos: time.Since(start).Nanoseconds(), Cancelled: cancelled,
-		}
-		record(PhaseStoppingRule, 0, a)
-		return a
-	}
-	for sum < upsilon1 {
-		if n%Chunk == 0 {
-			chunks++
-			if err := ctx.Err(); err != nil {
-				return Estimate{Value: safeDiv(sum, n), Samples: n, Epsilon: eps, Delta: delta, Acct: acct(true)}, err
-			}
-			if n > 0 {
-				tr.Checkpoint(int64(n), sum/float64(n), 1)
-			}
-		}
-		if maxSamples > 0 && n >= maxSamples {
-			return Estimate{Value: sum / float64(n), Samples: n, Epsilon: eps, Delta: delta, Converged: false, Acct: acct(false)}, nil
-		}
-		n++
-		if s(rng) {
-			sum++
-		}
-	}
-	return Estimate{Value: upsilon1 / float64(n), Samples: n, Epsilon: eps, Delta: delta, Converged: true, Acct: acct(false)}, nil
-}
-
-// EstimateStoppingRuleParallel is a parallel variant of the stopping
-// rule with the *identical* statistical behaviour: workers draw
-// fixed-size batches from independent sub-streams and return the
-// outcome vectors; the sequential rule is then applied to the
-// canonical interleaving (worker 0's batch, then worker 1's, ...),
-// which is a valid i.i.d. sample stream, stopping mid-batch exactly
-// where the sequential rule would. Unused draws are discarded.
-// Deterministic per (seed, workers). The returned Samples counts the
-// consumed prefix, not the discarded tail.
-//
-// newSampler is called once per worker: samplers are typically
-// stateful (walkers, caches) and not safe for concurrent use, so each
-// worker needs its own instance.
-//
-// The context is checked between rounds (one batch of Chunk draws per
-// worker); a cancelled run returns the partial mean and ctx.Err().
-//
-// EstimateStoppingRuleMulti (multi.go) mirrors this round scaffolding
-// for multi-target streams; behavioural changes here (cancellation,
-// cap, accounting) must be applied there too.
-func EstimateStoppingRuleParallel(ctx context.Context, newSampler func() Sampler, eps, delta float64, seed int64, workers, maxSamples int) (Estimate, error) {
-	if workers <= 1 {
-		return EstimateStoppingRule(ctx, newSampler(), eps, delta, seed, maxSamples)
-	}
-	if eps <= 0 || eps >= 1 || delta <= 0 || delta >= 1 {
-		panic(fmt.Sprintf("engine: invalid parameters eps=%v delta=%v", eps, delta))
-	}
-	upsilon1 := 1 + (1+eps)*4*(math.E-2)*math.Log(2/delta)/(eps*eps)
-	tr := TraceFrom(ctx)
-	defer tr.StartSpan("sample:stopping-rule")()
-	start := time.Now()
-	samplers := make([]Sampler, workers)
-	rngs := make([]*rand.Rand, workers)
-	for i := range samplers {
-		samplers[i] = newSampler()
-		rngs[i] = rngFor(seed, PhaseStoppingRule, i)
-	}
-	sum := 0.0
-	n := 0
-	// performed counts every sampler invocation, discarded tail
-	// included — the number the engine_samples_drawn counter reports;
-	// n counts only the consumed prefix the rule's law is defined on.
-	performed := 0
-	rounds := int64(0)
-	acct := func(cancelled bool) Accounting {
-		open := 1
-		if sum >= upsilon1 {
-			open = 0
-		}
-		tr.FinalCheckpoint(int64(n), safeDiv(sum, n), open)
-		per := make([]int64, workers)
-		for w := range per {
-			per[w] = rounds * Chunk
-		}
-		a := Accounting{
-			Draws: int64(performed), Chunks: rounds, Workers: workers, PerWorker: per,
-			WallNanos: time.Since(start).Nanoseconds(), Cancelled: cancelled,
-		}
-		record(PhaseStoppingRule, 0, a)
-		return a
-	}
-	outcomes := make([][]bool, workers)
-	done := make(chan int, workers)
-	for {
-		if err := ctx.Err(); err != nil {
-			return Estimate{Value: safeDiv(sum, n), Samples: n, Epsilon: eps, Delta: delta, Acct: acct(true)}, err
-		}
-		if maxSamples > 0 && n >= maxSamples {
-			return Estimate{Value: safeDiv(sum, n), Samples: n, Epsilon: eps, Delta: delta, Acct: acct(false)}, nil
-		}
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				out := make([]bool, Chunk)
-				for i := range out {
-					out[i] = samplers[w](rngs[w])
-				}
-				outcomes[w] = out
-				done <- w
-			}(w)
-		}
-		for w := 0; w < workers; w++ {
-			<-done
-		}
-		performed += workers * Chunk
-		rounds++
-		// Consume the canonical interleaving sequentially.
-		for w := 0; w < workers; w++ {
-			for _, hit := range outcomes[w] {
-				n++
-				if hit {
-					sum++
-				}
-				if sum >= upsilon1 {
-					return Estimate{Value: upsilon1 / float64(n), Samples: n, Epsilon: eps, Delta: delta, Converged: true, Acct: acct(false)}, nil
-				}
-			}
-		}
-		// One checkpoint per round, after the deterministic sequential
-		// consume — the only scheduler-independent mid-run view.
-		tr.Checkpoint(int64(n), sum/float64(n), 1)
-	}
-}
 
 // EstimateAA runs the full 𝒜𝒜 (approximation algorithm) of Dagum,
 // Karp, Luby and Ross, "An Optimal Algorithm for Monte Carlo
@@ -198,7 +36,7 @@ func EstimateAA(ctx context.Context, s Sampler, eps, delta float64, seed int64, 
 		panic("engine: invalid parameters for EstimateAA")
 	}
 	tr := TraceFrom(ctx)
-	defer tr.StartSpan("sample:aa")()
+	defer tr.StartSpan(PhaseAA.span())()
 	// endPhase closes the sub-span of whichever 𝒜𝒜 phase is running;
 	// finish calls it so budget-exhausted and cancelled exits still
 	// close the current phase.
@@ -228,17 +66,17 @@ func EstimateAA(ctx context.Context, s Sampler, eps, delta float64, seed int64, 
 		}
 		return 0, true
 	}
-	finish := func(e Estimate) (Estimate, error) {
+	finish := func(value float64, converged bool) (Estimate, error) {
 		endPhase()
 		open := 1
-		if e.Converged {
+		if converged {
 			open = 0
 		}
-		tr.FinalCheckpoint(int64(used), e.Value, open)
-		e.Acct = Accounting{
+		tr.FinalCheckpoint(int64(used), value, open)
+		e := Estimate{Value: value, Samples: used, Epsilon: eps, Delta: delta, Converged: converged, Acct: Accounting{
 			Draws: int64(used), Chunks: chunks, Workers: 1,
 			WallNanos: time.Since(start).Nanoseconds(), Cancelled: ctxErr != nil,
-		}
+		}}
 		record(PhaseAA, 0, e.Acct)
 		return e, ctxErr
 	}
@@ -256,7 +94,7 @@ func EstimateAA(ctx context.Context, s Sampler, eps, delta float64, seed int64, 
 	for sum < upsilon1 {
 		x, ok := draw()
 		if !ok {
-			return finish(Estimate{Value: safeDiv(sum, n1), Samples: used, Epsilon: eps, Delta: delta})
+			return finish(safeDiv(sum, n1), false)
 		}
 		n1++
 		sum += x
@@ -277,11 +115,11 @@ func EstimateAA(ctx context.Context, s Sampler, eps, delta float64, seed int64, 
 	for i := 0; i < n2; i++ {
 		a, ok := draw()
 		if !ok {
-			return finish(Estimate{Value: muHat, Samples: used, Epsilon: eps, Delta: delta})
+			return finish(muHat, false)
 		}
 		b, ok := draw()
 		if !ok {
-			return finish(Estimate{Value: muHat, Samples: used, Epsilon: eps, Delta: delta})
+			return finish(muHat, false)
 		}
 		d := a - b
 		s2 += d * d / 2
@@ -305,18 +143,12 @@ func EstimateAA(ctx context.Context, s Sampler, eps, delta float64, seed int64, 
 			if i > 0 {
 				mean = total / float64(i)
 			}
-			return finish(Estimate{Value: mean, Samples: used, Epsilon: eps, Delta: delta})
+			return finish(mean, false)
 		}
 		total += x
 		if (i+1)%Chunk == 0 {
 			tr.Checkpoint(int64(used), total/float64(i+1), 1)
 		}
 	}
-	return finish(Estimate{
-		Value:     total / float64(n3),
-		Samples:   used,
-		Epsilon:   eps,
-		Delta:     delta,
-		Converged: true,
-	})
+	return finish(total/float64(n3), true)
 }

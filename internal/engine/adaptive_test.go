@@ -29,7 +29,7 @@ func TestEstimateAABeatsSRAForLargeMu(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sra, err := EstimateStoppingRule(bg, bernoulli(p), eps, delta, 29, 0)
+	sra, err := EstimateStoppingRule(bg, factory(p), eps, delta, 29, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestEstimateAAPanics(t *testing.T) {
 
 func TestStoppingRuleParallelAccuracy(t *testing.T) {
 	for _, p := range []float64{0.3, 0.05} {
-		e, err := EstimateStoppingRuleParallel(bg, factory(p), 0.1, 0.05, 37, 4, 0)
+		e, err := EstimateStoppingRule(bg, factory(p), 0.1, 0.05, 37, 4, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,23 +104,23 @@ func TestStoppingRuleParallelAccuracy(t *testing.T) {
 }
 
 func TestStoppingRuleParallelSingleWorkerDelegates(t *testing.T) {
-	a, _ := EstimateStoppingRuleParallel(bg, factory(0.4), 0.1, 0.05, 41, 1, 0)
-	b, _ := EstimateStoppingRule(bg, bernoulli(0.4), 0.1, 0.05, 41, 0)
+	a, _ := EstimateStoppingRule(bg, factory(0.4), 0.1, 0.05, 41, 1, 0)
+	b, _ := EstimateStoppingRule(bg, factory(0.4), 0.1, 0.05, 41, 1, 0)
 	if a.Value != b.Value || a.Samples != b.Samples {
 		t.Fatal("workers=1 must delegate to the sequential rule")
 	}
 }
 
 func TestStoppingRuleParallelDeterministic(t *testing.T) {
-	a, _ := EstimateStoppingRuleParallel(bg, factory(0.2), 0.1, 0.05, 43, 4, 0)
-	b, _ := EstimateStoppingRuleParallel(bg, factory(0.2), 0.1, 0.05, 43, 4, 0)
+	a, _ := EstimateStoppingRule(bg, factory(0.2), 0.1, 0.05, 43, 4, 0)
+	b, _ := EstimateStoppingRule(bg, factory(0.2), 0.1, 0.05, 43, 4, 0)
 	if a.Value != b.Value || a.Samples != b.Samples {
 		t.Fatal("same seed and workers must reproduce")
 	}
 }
 
 func TestStoppingRuleParallelCapped(t *testing.T) {
-	e, err := EstimateStoppingRuleParallel(bg, factory(0), 0.1, 0.1, 47, 4, 2048)
+	e, err := EstimateStoppingRule(bg, factory(0), 0.1, 0.1, 47, 4, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +136,8 @@ func TestParallelMatchesSequentialLaw(t *testing.T) {
 	const p, eps = 0.15, 0.2
 	failSeq, failPar := 0, 0
 	for seed := int64(0); seed < 40; seed++ {
-		seq, _ := EstimateStoppingRule(bg, bernoulli(p), eps, 0.1, 1000+seed, 0)
-		par, _ := EstimateStoppingRuleParallel(bg, factory(p), eps, 0.1, 2000+seed, 3, 0)
+		seq, _ := EstimateStoppingRule(bg, factory(p), eps, 0.1, 1000+seed, 1, 0)
+		par, _ := EstimateStoppingRule(bg, factory(p), eps, 0.1, 2000+seed, 3, 0)
 		if math.Abs(seq.Value-p) > eps*p {
 			failSeq++
 		}

@@ -1,35 +1,35 @@
 // Package engine is the shared Monte-Carlo estimation engine every
-// sampling consumer of the reproduction runs through: the fixed-sample
-// Chernoff construction behind the paper's FPRAS theorems (5.1(2),
-// 6.1(2), 7.1(2), 7.5), the Dagum–Karp–Luby–Ross stopping rule and
-// full 𝒜𝒜 estimator [reference 8 of the paper], and the amortised
-// per-fact marginal counter. The statistical machinery (sample-count
-// bounds, probability lower bounds) stays in internal/fpras; this
-// package owns the execution of the draw loops.
+// sampling consumer of the reproduction runs through. The statistical
+// machinery (sample-count bounds, probability lower bounds) stays in
+// internal/fpras; this package owns the draws, in three loops:
 //
-// Three properties hold for every loop in this package:
+//   - the quota driver (quota.go) performs a fixed number of draws into
+//     per-worker count vectors: the fixed-sample Chernoff construction
+//     behind the paper's FPRAS theorems (5.1(2), 6.1(2), 7.1(2), 7.5)
+//     at one slot (EstimateFixed) or one per target
+//     (EstimateFixedMulti), and the per-fact Marginals;
+//   - the rule driver (rule.go) runs the Dagum–Karp–Luby–Ross stopping
+//     rule [reference 8 of the paper] over one shared draw stream for
+//     one target (EstimateStoppingRule) or K (EstimateStoppingRuleMulti);
+//   - EstimateAA (adaptive.go), the sequential three-phase 𝒜𝒜 estimator
+//     of the same reference.
 //
-//   - Cancellable: every estimator takes a context.Context and checks
-//     it between sample chunks (Chunk draws per worker), so a server
-//     deadline or a vanished client stops the work within one chunk
-//     instead of abandoning it to burn a worker to completion. A
-//     cancelled run returns the partial estimate together with the
-//     context's error.
-//
-//   - Parallel: the fixed-sample, stopping-rule and marginal loops
-//     split their draws across workers. Merging is deterministic, so
-//     the same (seed, workers) pair always reproduces the same
-//     estimate regardless of goroutine scheduling.
-//
-//   - Centrally seeded: every worker RNG is derived once, here, by
-//     Substream — SplitMix64-style mixing of (seed, phase, worker) —
-//     so distinct estimation phases can never hand identical
-//     substreams to their workers for the same user seed (the bug the
-//     previous per-call-site `seed + w*constant` derivations had).
+// Every run is cancellable: it checks its context between chunks
+// (Chunk draws per worker), so a server deadline or a vanished client
+// stops the work within one chunk, and returns the partial estimate
+// with the context's error. Both drivers split their draws across
+// workers and merge deterministically, so the same (seed, workers)
+// pair reproduces the same estimate regardless of scheduling; one
+// worker runs on the caller's goroutine. Every worker RNG is derived
+// here, by Substream — SplitMix64-style mixing of (seed, phase,
+// worker) — so distinct phases never hand identical substreams to
+// their workers for the same user seed. The drivers take the Phase as
+// a parameter, so a single-target run keeps its own substreams.
 package engine
 
 import (
 	"math/rand"
+	"sync"
 	"sync/atomic"
 )
 
@@ -83,6 +83,13 @@ const (
 	// parallel.
 	PhaseMultiStopping
 )
+
+// span is the name of the trace span a run of this phase records
+// (indexed by Phase, which starts at 1).
+func (p Phase) span() string {
+	return [...]string{"", "sample:fixed", "sample:stopping-rule", "sample:aa",
+		"sample:marginals", "sample:multi-fixed", "sample:multi-stopping"}[p]
+}
 
 // splitmix64 is the finalizer of the SplitMix64 generator (Steele,
 // Lea, Flood 2014) — a bijective avalanche mix.
@@ -138,12 +145,37 @@ func MultiRuns() int64 { return multiRuns.Load() }
 func MultiTargets() int64 { return multiTargets.Load() }
 
 // splitQuota divides n draws over workers as evenly as possible
-// (earlier workers take the remainder), mirroring the deterministic
-// split every parallel loop uses.
+// (earlier workers take the remainder): the quota driver's
+// deterministic split.
 func splitQuota(n, workers, w int) int {
 	per, extra := n/workers, n%workers
 	if w < extra {
 		return per + 1
 	}
 	return per
+}
+
+// fanOut runs f for every worker index and waits for all of them: on
+// the caller's goroutine for one worker, one goroutine each otherwise.
+func fanOut(workers int, f func(w int)) {
+	if workers == 1 {
+		f(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			f(w)
+		}(w)
+	}
+	wg.Wait()
+}
+
+func safeDiv(a float64, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	return a / float64(n)
 }

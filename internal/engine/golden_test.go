@@ -112,7 +112,7 @@ func goldenCases() []goldenCase {
 	}
 	rule := func(p float64, workers int, seed int64, maxSamples int) func(ctx context.Context) string {
 		return func(ctx context.Context) string {
-			e, err := EstimateStoppingRuleParallel(ctx, factory(p), 0.1, 0.05, seed, workers, maxSamples)
+			e, err := EstimateStoppingRule(ctx, factory(p), 0.1, 0.05, seed, workers, maxSamples)
 			return renderEstimate(e) + " " + renderAcct(e.Acct) + " " + renderErr(err)
 		}
 	}
@@ -134,7 +134,7 @@ func goldenCases() []goldenCase {
 			for i := range p {
 				p[i] = float64(i) / 19
 			}
-			counts, acct, err := MarginalsAcct(ctx, biasedCounter(p), len(p), 5_001, seed, workers)
+			counts, acct, err := Marginals(ctx, biasedCounter(p), len(p), 5_001, seed, workers)
 			h := fnv.New64a()
 			fmt.Fprint(h, counts)
 			return fmt.Sprintf("counts=%016x %s %s", h.Sum64(), renderAcct(acct), renderErr(err))

@@ -23,7 +23,8 @@ func biasedCounter(p []float64) func() CountSampler {
 
 func TestMarginalsAccuracy(t *testing.T) {
 	p := []float64{0.9, 0.5, 0.1, 1, 0}
-	counts, drawn, err := Marginals(bg, biasedCounter(p), len(p), 60_000, 3, 1)
+	counts, acct, err := Marginals(bg, biasedCounter(p), len(p), 60_000, 3, 1)
+	drawn := int(acct.Draws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,8 @@ func TestMarginalsAccuracy(t *testing.T) {
 
 func TestMarginalsParallelAccuracyAndFullBudget(t *testing.T) {
 	p := []float64{0.8, 0.25}
-	counts, drawn, err := Marginals(bg, biasedCounter(p), len(p), 100_001, 7, 8)
+	counts, acct, err := Marginals(bg, biasedCounter(p), len(p), 100_001, 7, 8)
+	drawn := int(acct.Draws)
 	if err != nil {
 		t.Fatal(err)
 	}

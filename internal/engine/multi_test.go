@@ -131,7 +131,7 @@ func TestEstimateStoppingRuleMultiSingleTargetLaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := EstimateStoppingRule(context.Background(), single, 0.1, 0.05, 1, 0)
+	s, err := EstimateStoppingRule(context.Background(), func() Sampler { return single }, 0.1, 0.05, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -567,7 +567,7 @@ func (p *Prepared) approximate(ctx context.Context, mode Mode, q *Query, c Tuple
 	case opts.UseAA:
 		est, err = engine.EstimateAA(ctx, newDraw(), opts.Epsilon, opts.Delta, opts.Seed, opts.MaxSamples)
 	default:
-		est, err = engine.EstimateStoppingRuleParallel(ctx, newDraw, opts.Epsilon, opts.Delta, opts.Seed, opts.Workers, opts.MaxSamples)
+		est, err = engine.EstimateStoppingRule(ctx, newDraw, opts.Epsilon, opts.Delta, opts.Seed, opts.Workers, opts.MaxSamples)
 	}
 	if err != nil {
 		return est, fmt.Errorf("ocqa: estimation stopped: %w", err)
@@ -1134,7 +1134,7 @@ func (p *Prepared) approximateFactMarginals(ctx context.Context, mode Mode, opts
 		return nil, Accounting{}, err
 	}
 	opts.Workers = engine.ResolveWorkers(opts.Workers, p.parallelHint(), int64(opts.MaxSamples))
-	counts, acct, err := engine.MarginalsAcct(ctx, newCounter, p.db.Len(), opts.MaxSamples, opts.Seed, opts.Workers)
+	counts, acct, err := engine.Marginals(ctx, newCounter, p.db.Len(), opts.MaxSamples, opts.Seed, opts.Workers)
 	if err != nil {
 		return nil, acct, fmt.Errorf("ocqa: marginal estimation stopped: %w", err)
 	}
