@@ -52,13 +52,13 @@ func TestApproximateAnswersDeterministic(t *testing.T) {
 	} {
 		for _, workers := range []int{1, 4} {
 			opts := ocqa.ApproxOptions{Seed: 5, Workers: workers}
-			a, err := p.ApproximateAnswers(ctx, mode, q, opts)
+			a, _, err := p.ApproximateAnswers(ctx, mode, q, opts)
 			if err != nil {
 				t.Fatalf("%v: %v", mode, err)
 			}
-			// Prepared (cached witness sets) and bare Instance must agree
-			// bitwise too: the cache only skips recompilation.
-			b, err := inst.ApproximateAnswers(ctx, mode, q, opts)
+			// A warm Prepared (cached witness sets) and a fresh lazy one
+			// must agree bitwise too: the cache only skips recompilation.
+			b, _, err := inst.PrepareLazy().ApproximateAnswers(ctx, mode, q, opts)
 			if err != nil {
 				t.Fatalf("%v: %v", mode, err)
 			}
@@ -89,7 +89,7 @@ func TestApproximateAnswersMatchesExact(t *testing.T) {
 			{Epsilon: 0.1, Delta: 0.05, Seed: 11, Workers: 4},
 			{Epsilon: 0.1, Delta: 0.05, Seed: 11, Workers: 1, UseAA: true},
 		} {
-			ans, err := p.ApproximateAnswers(ctx, mode, q, opts)
+			ans, _, err := p.ApproximateAnswers(ctx, mode, q, opts)
 			if err != nil {
 				t.Fatalf("%v: %v", mode, err)
 			}
@@ -124,7 +124,7 @@ func TestApproximateAnswersChernoff(t *testing.T) {
 	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
 	// Loose (ε, δ) keep the worst-case pmin bound's sample count small.
 	opts := ocqa.ApproxOptions{Epsilon: 0.3, Delta: 0.2, Seed: 13, Workers: 4, UseChernoff: true}
-	ans, err := p.ApproximateAnswers(ctx, mode, q, opts)
+	ans, _, err := p.ApproximateAnswers(ctx, mode, q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestApproximateAnswersChernoff(t *testing.T) {
 			t.Errorf("%v: estimate %.4f, exact %.4f", a.Tuple, a.Estimate.Value, want)
 		}
 	}
-	again, err := p.ApproximateAnswers(ctx, mode, q, opts)
+	again, _, err := p.ApproximateAnswers(ctx, mode, q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestApproximateAnswersDrawReduction(t *testing.T) {
 	perTuple := engine.SamplesDrawn() - mark
 
 	mark = engine.SamplesDrawn()
-	if _, err := p.ApproximateAnswers(ctx, mode, q, opts); err != nil {
+	if _, _, err := p.ApproximateAnswers(ctx, mode, q, opts); err != nil {
 		t.Fatal(err)
 	}
 	shared := engine.SamplesDrawn() - mark
@@ -201,7 +201,7 @@ func TestApproximateAnswersEmptyAndRefusal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := inst.ApproximateAnswers(context.Background(), ocqa.Mode{Gen: ocqa.UniformRepairs}, q, ocqa.ApproxOptions{})
+	ans, _, err := inst.PrepareLazy().ApproximateAnswers(context.Background(), ocqa.Mode{Gen: ocqa.UniformRepairs}, q, ocqa.ApproxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestApproximateAnswersEmptyAndRefusal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fdInst.ApproximateAnswers(context.Background(), ocqa.Mode{Gen: ocqa.UniformRepairs}, q2, ocqa.ApproxOptions{}); err == nil {
+	if _, _, err := fdInst.PrepareLazy().ApproximateAnswers(context.Background(), ocqa.Mode{Gen: ocqa.UniformRepairs}, q2, ocqa.ApproxOptions{}); err == nil {
 		t.Fatal("M^ur under general FDs must refuse")
 	}
 }
@@ -227,7 +227,7 @@ func TestApproximateAnswersPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		ans, err := inst.ApproximateAnswers(ctx, ocqa.Mode{Gen: ocqa.UniformRepairs}, q,
+		ans, _, err := inst.PrepareLazy().ApproximateAnswers(ctx, ocqa.Mode{Gen: ocqa.UniformRepairs}, q,
 			ocqa.ApproxOptions{Seed: 1, Workers: workers})
 		if err == nil {
 			t.Fatalf("workers=%d: want context error", workers)

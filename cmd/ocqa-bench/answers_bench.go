@@ -134,7 +134,7 @@ func runAnswersBenchmarks(outPath string) error {
 	ctx := context.Background()
 	opts := ocqa.ApproxOptions{Epsilon: eps, Delta: delta, Seed: 7, Workers: 1}
 	tuples := len(q.Answers(inst.DB()))
-	plan, err := p.PlanApproximate(mode, q, false, opts)
+	plan, err := p.PlanApproximate(mode, q, nil, false, opts)
 	if err != nil {
 		return err
 	}
@@ -153,7 +153,7 @@ func runAnswersBenchmarks(outPath string) error {
 	baselineDraws := engine.SamplesDrawn() - mark
 
 	mark = engine.SamplesDrawn()
-	shared, err := p.ApproximateAnswers(ctx, mode, q, opts)
+	shared, _, err := p.ApproximateAnswers(ctx, mode, q, opts)
 	if err != nil {
 		return err
 	}
@@ -182,7 +182,7 @@ func runAnswersBenchmarks(outPath string) error {
 	for _, workers := range []int{1, engine.AutoWorkers} {
 		o := opts
 		o.Workers = workers
-		r1, acct, err := p.ApproximateAnswersAcct(ctx, mode, q, o)
+		r1, acct, err := p.ApproximateAnswers(ctx, mode, q, o)
 		if err != nil {
 			return err
 		}
@@ -193,7 +193,7 @@ func runAnswersBenchmarks(outPath string) error {
 				splitAuto = []int64{acct.Draws}
 			}
 		}
-		r2, err := p.ApproximateAnswers(ctx, mode, q, o)
+		r2, _, err := p.ApproximateAnswers(ctx, mode, q, o)
 		if err != nil {
 			return err
 		}
@@ -209,7 +209,7 @@ func runAnswersBenchmarks(outPath string) error {
 	sharedRun := func(workers int) error {
 		o := opts
 		o.Workers = workers
-		_, err := p.ApproximateAnswers(ctx, mode, q, o)
+		_, _, err := p.ApproximateAnswers(ctx, mode, q, o)
 		return err
 	}
 	baseBench := testing.Benchmark(func(b *testing.B) {
@@ -256,7 +256,7 @@ func runAnswersBenchmarks(outPath string) error {
 		PhaseSeconds: spanSeconds(func(ctx context.Context) {
 			o := opts
 			o.Workers = engine.AutoWorkers
-			_, _ = p.ApproximateAnswers(ctx, mode, q, o)
+			_, _, _ = p.ApproximateAnswers(ctx, mode, q, o)
 		}),
 		Results: []benchResult{
 			toResult("AnswersPerTupleBaseline", baseBench),

@@ -236,7 +236,7 @@ func runDeltaBenchmarks(outPath string, facts int) error {
 	if _, err := lineage.Approximate(ctx, mode, hotQ, ocqa.Tuple{}, aopts); err != nil {
 		return err
 	}
-	plan, err := lineage.PlanApproximate(mode, hotQ, true, aopts)
+	plan, err := lineage.PlanApproximate(mode, hotQ, ocqa.Tuple{}, true, aopts)
 	if err != nil {
 		return err
 	}
@@ -309,7 +309,7 @@ func runDeltaBenchmarks(outPath string, facts int) error {
 		p := ocqa.NewInstance(base, sigma).PrepareLazy()
 		return p.Approximate(ctx, mode, hotQ, ocqa.Tuple{}, aopts)
 	}
-	coldPlan, err := ocqa.NewInstance(base, sigma).PrepareLazy().PlanApproximate(mode, hotQ, true, aopts)
+	coldPlan, err := ocqa.NewInstance(base, sigma).PrepareLazy().PlanApproximate(mode, hotQ, ocqa.Tuple{}, true, aopts)
 	if err != nil {
 		return err
 	}
@@ -338,7 +338,7 @@ func runDeltaBenchmarks(outPath string, facts int) error {
 	// stopping rule over every block, at 1 worker and under adaptive
 	// selection — the worker ladder the inversion gate checks.
 	fallbackP := ocqa.NewInstance(base, sigma).Prepare()
-	fallbackPlan, err := fallbackP.PlanApproximate(mode, fallbackQ, true, aopts)
+	fallbackPlan, err := fallbackP.PlanApproximate(mode, fallbackQ, ocqa.Tuple{}, true, aopts)
 	if err != nil {
 		return err
 	}

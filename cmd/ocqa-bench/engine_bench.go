@@ -129,7 +129,7 @@ func runEngineBenchmarks(outPath string) error {
 	ctx := context.Background()
 
 	engineRunAcct := func(workers int) ([]float64, ocqa.Accounting, error) {
-		return p.ApproximateFactMarginalsAcct(ctx, mode, ocqa.ApproxOptions{
+		return p.ApproximateFactMarginals(ctx, mode, ocqa.ApproxOptions{
 			Seed: 1, MaxSamples: draws, Workers: workers,
 		})
 	}
@@ -207,7 +207,7 @@ func runEngineBenchmarks(outPath string) error {
 		// during the benchmark iterations, so the headline numbers stay
 		// comparable with earlier trajectory files.
 		PhaseSeconds: spanSeconds(func(ctx context.Context) {
-			_, _, _ = p.ApproximateFactMarginalsAcct(ctx, mode, ocqa.ApproxOptions{
+			_, _, _ = p.ApproximateFactMarginals(ctx, mode, ocqa.ApproxOptions{
 				Seed: 1, MaxSamples: draws, Workers: engine.AutoWorkers,
 			})
 		}),

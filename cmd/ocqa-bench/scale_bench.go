@@ -160,7 +160,7 @@ func runScaleBenchmarks(outPath string, facts int) error {
 	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
 	ctx := context.Background()
 	marginalsRun := func(workers int) (ocqa.Accounting, error) {
-		_, acct, err := p.ApproximateFactMarginalsAcct(ctx, mode, ocqa.ApproxOptions{
+		_, acct, err := p.ApproximateFactMarginals(ctx, mode, ocqa.ApproxOptions{
 			Seed: 1, MaxSamples: draws, Workers: workers,
 		})
 		return acct, err
@@ -172,13 +172,13 @@ func runScaleBenchmarks(outPath string, facts int) error {
 	// has three repairs — either fact alone, or the empty set, since an
 	// operation may delete both sides of a conflict — so each fact
 	// survives with probability 1/3 under M^ur.
-	vals1, _, err := p.ApproximateFactMarginalsAcct(ctx, mode, ocqa.ApproxOptions{
+	vals1, _, err := p.ApproximateFactMarginals(ctx, mode, ocqa.ApproxOptions{
 		Seed: 1, MaxSamples: draws, Workers: 1,
 	})
 	if err != nil {
 		return err
 	}
-	valsA, acctA, err := p.ApproximateFactMarginalsAcct(ctx, mode, ocqa.ApproxOptions{
+	valsA, acctA, err := p.ApproximateFactMarginals(ctx, mode, ocqa.ApproxOptions{
 		Seed: 1, MaxSamples: draws, Workers: engine.AutoWorkers,
 	})
 	if err != nil {
@@ -215,7 +215,7 @@ func runScaleBenchmarks(outPath string, facts int) error {
 	}
 	srOpts := ocqa.ApproxOptions{Epsilon: 0.2, Delta: 0.1, Seed: 1, MaxSamples: 5000, Workers: engine.AutoWorkers}
 	srStart := time.Now()
-	srPlan, err := p.PlanApproximate(mode, q, true, srOpts)
+	srPlan, err := p.PlanApproximate(mode, q, ocqa.Tuple{}, true, srOpts)
 	if err != nil {
 		return err
 	}
@@ -327,7 +327,7 @@ func runScaleBenchmarks(outPath string, facts int) error {
 		StoppingRuleDraws:   est.Acct.Draws,
 		StoppingRuleSeconds: srSeconds,
 		PhaseSeconds: spanSeconds(func(ctx context.Context) {
-			_, _, _ = p.ApproximateFactMarginalsAcct(ctx, mode, ocqa.ApproxOptions{
+			_, _, _ = p.ApproximateFactMarginals(ctx, mode, ocqa.ApproxOptions{
 				Seed: 1, MaxSamples: draws, Workers: engine.AutoWorkers,
 			})
 		}),

@@ -156,6 +156,7 @@ func run(ctx context.Context, factsPath, fdsPath, queryText, tupleText, genName 
 		opts := ocqa.ApproxOptions{Epsilon: eps, Delta: delta, Seed: seed, Workers: workers, Force: force}
 		p := inst.Prepare()
 		single := tupleText != "" || len(q.AnswerVars) == 0
+		c := ocqa.ParseTuple(tupleText)
 		var tr *ocqa.Trace
 		var plan ocqa.QueryPlan
 		if explain {
@@ -163,7 +164,7 @@ func run(ctx context.Context, factsPath, fdsPath, queryText, tupleText, genName 
 			// and the worst-case budget are pre-run facts, so an operator
 			// can abort a hopeless (ε, δ) before paying for it.
 			var err error
-			plan, err = p.PlanApproximate(m, q, single, opts)
+			plan, err = p.PlanApproximate(m, q, c, single, opts)
 			if err != nil {
 				return err
 			}
@@ -172,7 +173,6 @@ func run(ctx context.Context, factsPath, fdsPath, queryText, tupleText, genName 
 			ctx = ocqa.ContextWithTrace(ctx, tr)
 		}
 		if single {
-			c := ocqa.ParseTuple(tupleText)
 			est, err := p.Approximate(ctx, m, q, c, opts)
 			if err != nil {
 				return err
@@ -185,7 +185,7 @@ func run(ctx context.Context, factsPath, fdsPath, queryText, tupleText, genName 
 			}
 			return nil
 		}
-		answers, acct, err := p.ApproximateAnswersAcct(ctx, m, q, opts)
+		answers, acct, err := p.ApproximateAnswers(ctx, m, q, opts)
 		if err != nil {
 			return err
 		}

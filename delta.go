@@ -65,10 +65,11 @@ import (
 
 const (
 	// deltaMaxWitnesses caps the live witness images maintained per
-	// query fingerprint; past it the fingerprint degrades to the
-	// non-delta paths (mirroring core.DefaultMaxImages, so a query the
-	// multi-tuple predicate can compile is one the delta layer can
-	// maintain).
+	// query fingerprint, summed over every candidate tuple; past it the
+	// fingerprint degrades to the non-delta paths. It has the value of
+	// core.DefaultMaxImages, but the multi-tuple predicate applies that
+	// cap per tuple, so a query it compiles (say 10 tuples of 1,000
+	// images each) can still overflow here.
 	deltaMaxWitnesses = core.DefaultMaxImages
 	// deltaExactOutcomes caps the outcome product enumerated per
 	// cluster for an exact factor; larger clusters become sampled
@@ -370,6 +371,18 @@ type deltaDecomp struct {
 	clusters []deltaCluster
 }
 
+// sampled counts the clusters too large to enumerate: the strata the
+// stratified estimator draws.
+func (d *deltaDecomp) sampled() int {
+	n := 0
+	for i := range d.clusters {
+		if !d.clusters[i].enumerable() {
+			n++
+		}
+	}
+	return n
+}
+
 // decompose classifies the target's witnesses against the CURRENT block
 // structure — read live off the incrementally maintained conflict pairs
 // — and groups coupled blocks into clusters. Block membership of a fact
@@ -567,20 +580,25 @@ func (c *deltaCluster) holdsAt(outcome []int) bool {
 	return false
 }
 
-// exactFactor enumerates the cluster's outcome product and returns the
-// complement 1 − p_c as an exact rational; ok=false past the
-// enumeration cap. Single-block clusters short-circuit: p = r/radix
-// with r the distinct required members.
-func (c *deltaCluster) exactFactor() (*big.Rat, bool) {
+// enumerable reports whether the cluster's exact factor is computed
+// (exactFactor) rather than drawn as a stratum: single-block clusters
+// are closed-form at any radix, multi-block ones enumerate up to
+// deltaExactOutcomes outcomes.
+func (c *deltaCluster) enumerable() bool {
+	return len(c.radix) == 1 || c.outcomes <= deltaExactOutcomes
+}
+
+// exactFactor returns the complement 1 − p_c of an enumerable cluster
+// as an exact rational, enumerating its outcome product. Single-block
+// clusters short-circuit: p = r/radix with r the distinct required
+// members.
+func (c *deltaCluster) exactFactor() *big.Rat {
 	if len(c.radix) == 1 {
 		distinct := make(map[int]bool)
 		for _, reqs := range c.reqs {
 			distinct[reqs[0][1]] = true
 		}
-		return new(big.Rat).SetFrac64(int64(c.radix[0]-len(distinct)), int64(c.radix[0])), true
-	}
-	if c.outcomes > deltaExactOutcomes {
-		return nil, false
+		return new(big.Rat).SetFrac64(int64(c.radix[0]-len(distinct)), int64(c.radix[0]))
 	}
 	outcome := make([]int, len(c.radix))
 	hits := int64(0)
@@ -601,7 +619,7 @@ func (c *deltaCluster) exactFactor() (*big.Rat, bool) {
 			break
 		}
 	}
-	return new(big.Rat).SetFrac64(c.outcomes-hits, c.outcomes), true
+	return new(big.Rat).SetFrac64(c.outcomes-hits, c.outcomes)
 }
 
 // newDraw builds the cluster's Bernoulli sampler factory: one draw
@@ -630,16 +648,17 @@ func (dq *deltaQuery) exactPart(dec *deltaDecomp) (*big.Rat, []*deltaCluster) {
 	var sampled []*deltaCluster
 	for i := range dec.clusters {
 		c := &dec.clusters[i]
+		if !c.enumerable() {
+			sampled = append(sampled, c)
+			continue
+		}
 		f, ok := dq.factors[c.sig]
 		if ok {
 			deltaFactorHits.Add(1)
-		} else if f, ok = c.exactFactor(); ok {
+		} else {
+			f = c.exactFactor()
 			deltaFactorMisses.Add(1)
 			dq.factors[c.sig] = f
-		}
-		if !ok {
-			sampled = append(sampled, c)
-			continue
 		}
 		comp.Mul(comp, f)
 	}
@@ -648,9 +667,9 @@ func (dq *deltaQuery) exactPart(dec *deltaDecomp) (*big.Rat, []*deltaCluster) {
 
 // deltaExactTarget computes the target's exact probability from the
 // decomposition, serving untouched clusters' factors from the cache and
-// recomputing only the changed ones. ok=false when some cluster exceeds
-// the enumeration cap (the caller falls back to the classic engines, or
-// samples the cluster on the stratified path). Caller holds dq.mu.
+// recomputing only the changed ones. ok=false when some cluster is
+// too large to enumerate (the caller falls back to the classic
+// engines). Caller holds dq.mu.
 func (p *Prepared) deltaExactTarget(dq *deltaQuery, wits []core.Witness, singleton bool) (*big.Rat, bool) {
 	dec := p.decompose(wits, singleton)
 	if dec.certain {
@@ -705,10 +724,10 @@ func (p *Prepared) deltaConsistentAnswers(mode Mode, q *Query) ([]ConsistentAnsw
 	}
 	dq.mu.Lock()
 	defer dq.mu.Unlock()
-	keys, tuples, byKey := dq.liveTuples()
-	out := make([]ConsistentAnswer, 0, len(keys))
-	for i, k := range keys {
-		r, ok := p.deltaExactTarget(dq, byKey[k], mode.Singleton)
+	tuples, wits := dq.liveTuples()
+	out := make([]ConsistentAnswer, 0, len(tuples))
+	for i, w := range wits {
+		r, ok := p.deltaExactTarget(dq, w, mode.Singleton)
 		if !ok {
 			return nil, false
 		}
@@ -731,14 +750,12 @@ func (dq *deltaQuery) witsOf(tupleKey string) []core.Witness {
 
 // liveTuples groups the current generation's witness images by answer
 // tuple and returns the candidate tuples sorted by key — the order
-// every exact consumer uses. Caller holds dq.mu.
-func (dq *deltaQuery) liveTuples() ([]string, []Tuple, map[string][]core.Witness) {
+// every consumer uses — with each tuple's images. Caller holds dq.mu.
+func (dq *deltaQuery) liveTuples() ([]Tuple, [][]core.Witness) {
 	byKey := make(map[string][]core.Witness)
-	tupOf := make(map[string]Tuple)
 	for _, w := range dq.wits {
 		k := w.Tuple.Key()
 		byKey[k] = append(byKey[k], w)
-		tupOf[k] = w.Tuple
 	}
 	keys := make([]string, 0, len(byKey))
 	for k := range byKey {
@@ -746,87 +763,94 @@ func (dq *deltaQuery) liveTuples() ([]string, []Tuple, map[string][]core.Witness
 	}
 	sort.Strings(keys)
 	tuples := make([]Tuple, len(keys))
+	wits := make([][]core.Witness, len(keys))
 	for i, k := range keys {
-		tuples[i] = tupOf[k]
+		tuples[i], wits[i] = byKey[k][0].Tuple, byKey[k]
 	}
-	return keys, tuples, byKey
+	return tuples, wits
 }
 
 // --- stratified delta path -------------------------------------------------
 
-// deltaApproxTarget estimates one target from the decomposition:
+// deltaRun estimates the targets of a product-form route (see
+// Prepared.route) in output order, holding the fingerprint's lock for
+// its factor and stratum caches, and returns the estimates with their
+// summed accounting. After a cancellation the remaining targets return
+// at once with the same error, so every candidate carries its partial
+// estimate — the shared pass's contract.
+func (p *Prepared) deltaRun(ctx context.Context, r *approxRoute) ([]ApproxAnswer, Accounting, error) {
+	r.dq.mu.Lock()
+	defer r.dq.mu.Unlock()
+	out := make([]ApproxAnswer, len(r.targets))
+	var total Accounting
+	var runErr error
+	for i := range r.targets {
+		e, err := p.deltaApproxTarget(ctx, r.dq, &r.targets[i], r.opts)
+		total = addAcct(total, e.Acct)
+		if runErr == nil {
+			runErr = err
+		}
+		out[i] = ApproxAnswer{Tuple: r.tuples[i], Estimate: e}
+	}
+	return out, total, runErr
+}
+
+// deltaApproxTarget estimates one target from its decomposition:
 // enumerable clusters contribute their exact factors (zero draws),
 // sampled clusters run a per-stratum stopping rule at (ε/S, δ/S) whose
 // statistics persist in dq.strata — a warm generation redraws only the
-// strata whose content signature changed and reuses the rest, reporting
-// the split as Acct.Draws (fresh) vs Acct.ReusedDraws. ok=false routes
-// the caller to the whole-instance estimator. Caller holds dq.mu.
-func (p *Prepared) deltaApproxTarget(ctx context.Context, dq *deltaQuery, wits []core.Witness, mode Mode, opts ApproxOptions) (Estimate, bool, error) {
+// strata whose content signature changed and reuses the rest. Each
+// fresh stratum run's accounting folds into the target's, and reused
+// statistics count as Acct.ReusedDraws. Caller holds dq.mu.
+func (p *Prepared) deltaApproxTarget(ctx context.Context, dq *deltaQuery, dec *deltaDecomp, opts ApproxOptions) (Estimate, error) {
 	end := engine.TraceFrom(ctx).StartSpan("delta-refresh")
 	defer end()
 	if err := ctx.Err(); err != nil {
 		// A done context is refused even where no draw would run, as on
 		// the whole-instance path.
 		est := Estimate{Epsilon: opts.Epsilon, Delta: opts.Delta, Acct: Accounting{Cancelled: true}}
-		return est, true, fmt.Errorf("ocqa: estimation stopped: %w", err)
+		return est, fmt.Errorf("ocqa: estimation stopped: %w", err)
 	}
-	dec := p.decompose(wits, mode.Singleton)
 	est := Estimate{Epsilon: opts.Epsilon, Delta: opts.Delta, Converged: true}
 	if dec.certain {
 		est.Value = 1
 		p.deltaBumpRefresh()
-		return est, true, nil
+		return est, nil
 	}
-	exact, sampled := dq.exactPart(&dec)
-	if len(sampled) > deltaMaxSampledStrata {
-		return Estimate{}, false, nil
-	}
+	exact, sampled := dq.exactPart(dec)
 	if len(sampled) == 0 {
 		// Every cluster enumerable: the estimate is the exact
 		// probability, rounded once.
 		est.Value, _ = exact.Sub(big.NewRat(1, 1), exact).Float64()
 		p.deltaBumpRefresh()
-		return est, true, nil
+		return est, nil
 	}
 	comp, _ := exact.Float64()
 	s := len(sampled)
-	var fresh, reused int64
+	epsC := opts.Epsilon / float64(s)
+	deltaC := opts.Delta / float64(s)
 	for _, c := range sampled {
-		epsC := opts.Epsilon / float64(s)
-		deltaC := opts.Delta / float64(s)
 		if st, ok := dq.strata[c.sig]; ok && st.converged && st.eps <= epsC*(1+1e-12) && st.delta <= deltaC*(1+1e-12) {
 			comp *= 1 - st.est
-			reused += st.draws
+			est.Acct.ReusedDraws += st.draws
 			continue
 		}
-		budget := opts.MaxSamples / s
-		if budget < 1024 {
-			budget = 1024
-		}
+		budget := max(opts.MaxSamples/s, 1024)
 		e, err := engine.EstimateStoppingRule(ctx, c.newDraw(), epsC, deltaC, deltaSeed(opts.Seed, c.sig), 1, budget)
-		fresh += e.Acct.Draws
+		est.Acct = addAcct(est.Acct, e.Acct)
 		if err != nil {
-			est.Acct.Draws = fresh
-			est.Acct.ReusedDraws = reused
-			est.Acct.Workers = 1
-			est.Acct.Cancelled = e.Acct.Cancelled
-			deltaReusedTotal.Add(reused)
-			return est, true, fmt.Errorf("ocqa: estimation stopped: %w", err)
+			deltaReusedTotal.Add(est.Acct.ReusedDraws)
+			return est, fmt.Errorf("ocqa: estimation stopped: %w", err)
 		}
 		dq.strata[c.sig] = deltaStratum{est: e.Value, draws: e.Acct.Draws, eps: epsC, delta: deltaC, converged: e.Converged}
 		comp *= 1 - e.Value
 		est.Converged = est.Converged && e.Converged
 	}
 	est.Value = 1 - comp
-	est.Samples = int(fresh)
-	est.Acct.Draws = fresh
-	est.Acct.ReusedDraws = reused
-	if fresh > 0 {
-		est.Acct.Workers = 1
-	}
-	deltaReusedTotal.Add(reused)
+	est.Samples = int(est.Acct.Draws)
+	deltaReusedTotal.Add(est.Acct.ReusedDraws)
 	p.deltaBumpRefresh()
-	return est, true, nil
+	return est, nil
 }
 
 // deltaBumpRefresh counts one warm delta evaluation; cold (first-
@@ -844,123 +868,4 @@ func deltaSeed(seed int64, sig string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(sig))
 	return int64((uint64(seed)*0x9e3779b97f4a7c15 ^ h.Sum64()) &^ (1 << 63))
-}
-
-// deltaPlanRoute reports, for the planner, whether the delta engine
-// would answer the query under these options and with how many sampled
-// strata (the max over candidate tuples, so a single-tuple plan reports
-// the worst candidate; 0 means every cluster is exactly enumerable —
-// the zero-draw delta-exact route). It mirrors the routing predicate of
-// deltaApproximate/deltaApproximateAnswers and,
-// like the rest of the planner, warms the compile the run then reuses;
-// it never mutates the factor or stratum caches.
-func (p *Prepared) deltaPlanRoute(mode Mode, q *Query, opts ApproxOptions) (int, bool) {
-	if !p.deltaEligible(mode) || opts.UseAA || opts.UseChernoff {
-		return 0, false
-	}
-	dq := p.deltaQueryFor(q)
-	if dq.overflow {
-		return 0, false
-	}
-	dq.mu.Lock()
-	defer dq.mu.Unlock()
-	_, _, byKey := dq.liveTuples()
-	maxStrata := 0
-	for _, wits := range byKey {
-		dec := p.decompose(wits, mode.Singleton)
-		if dec.certain {
-			continue
-		}
-		sampled := 0
-		for i := range dec.clusters {
-			c := &dec.clusters[i]
-			if _, ok := dq.factors[c.sig]; ok {
-				continue
-			}
-			// Mirrors exactFactor: single-block clusters are closed-form
-			// at any radix; only multi-block clusters past the
-			// enumeration cap become strata.
-			if len(c.radix) > 1 && c.outcomes > deltaExactOutcomes {
-				sampled++
-			}
-		}
-		if sampled > deltaMaxSampledStrata {
-			return 0, false
-		}
-		if sampled > maxStrata {
-			maxStrata = sampled
-		}
-	}
-	return maxStrata, true
-}
-
-// deltaApproximate is the product-form routing of Approximate: for
-// M^ur under primary keys and the default stopping-rule estimator (the
-// Chernoff and 𝒜𝒜 constructions keep their own semantics), the
-// decomposition answers unless the fingerprint overflows the witness
-// cap or the target has too many sampled strata. ok=false hands the
-// call to the whole-instance estimator.
-func (p *Prepared) deltaApproximate(ctx context.Context, mode Mode, q *Query, c Tuple, opts ApproxOptions) (Estimate, bool, error) {
-	if !p.deltaEligible(mode) || opts.UseAA || opts.UseChernoff {
-		return Estimate{}, false, nil
-	}
-	opts.fill()
-	if err := p.checkApproximable(mode, opts.Force); err != nil {
-		return Estimate{}, true, err
-	}
-	if len(c) != len(q.AnswerVars) {
-		// Arity mismatch: no witness can exist; the classic path's
-		// constant-false predicate estimates exactly 0.
-		return Estimate{Epsilon: opts.Epsilon, Delta: opts.Delta, Converged: true}, true, nil
-	}
-	dq := p.deltaQueryFor(q)
-	if dq.overflow {
-		return Estimate{}, false, nil
-	}
-	dq.mu.Lock()
-	defer dq.mu.Unlock()
-	return p.deltaApproxTarget(ctx, dq, dq.witsOf(c.Key()), mode, opts)
-}
-
-// deltaApproximateAnswers is the product-form routing of the shared
-// answers pass: per-tuple estimates over the incrementally maintained
-// candidate set, under the same predicate as deltaApproximate; one
-// target with too many strata sends the whole pass to the shared
-// whole-instance estimator.
-func (p *Prepared) deltaApproximateAnswers(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, Accounting, bool, error) {
-	if !p.deltaEligible(mode) || opts.UseAA || opts.UseChernoff {
-		return nil, Accounting{}, false, nil
-	}
-	opts.fill()
-	if err := p.checkApproximable(mode, opts.Force); err != nil {
-		return nil, Accounting{}, true, err
-	}
-	dq := p.deltaQueryFor(q)
-	if dq.overflow {
-		return nil, Accounting{}, false, nil
-	}
-	dq.mu.Lock()
-	defer dq.mu.Unlock()
-	keys, tuples, byKey := dq.liveTuples()
-	out := make([]ApproxAnswer, 0, len(keys))
-	var total Accounting
-	var runErr error
-	for i, k := range keys {
-		// After a cancellation the remaining targets return at once with
-		// the same error, so every candidate carries its partial estimate
-		// — the shared pass's contract.
-		e, ok, err := p.deltaApproxTarget(ctx, dq, byKey[k], mode, opts)
-		if !ok {
-			return nil, Accounting{}, false, nil
-		}
-		total.Draws += e.Acct.Draws
-		total.ReusedDraws += e.Acct.ReusedDraws
-		total.Workers = max(total.Workers, e.Acct.Workers)
-		total.Cancelled = total.Cancelled || e.Acct.Cancelled
-		if runErr == nil {
-			runErr = err
-		}
-		out = append(out, ApproxAnswer{Tuple: tuples[i], Estimate: e})
-	}
-	return out, total, true, runErr
 }

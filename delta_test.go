@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"sort"
+	"strings"
 	"testing"
 
 	ocqa "repro"
+	"repro/internal/engine"
 )
 
 // deltaModes are the generator modes the delta engine serves.
@@ -292,8 +295,7 @@ func TestDeltaStratifiedDeterminism(t *testing.T) {
 
 // TestDeltaColdApproximateUnchanged pins the cold-path contract: on a
 // first-generation Prepared (no mutation history) the answer is
-// identical to the bare Instance path's, which is the same query on a
-// lazy prepare, and no draws are reported as reused.
+// identical to a lazy prepare's, and no draws are reported as reused.
 func TestDeltaColdApproximateUnchanged(t *testing.T) {
 	inst := mustInstance(t,
 		"R(a,x)\nR(a,y)\nR(b,x)\nR(b,z)",
@@ -301,7 +303,7 @@ func TestDeltaColdApproximateUnchanged(t *testing.T) {
 	q := mustQuery(t, "Ans() :- R(k, 'x')")
 	opts := ocqa.ApproxOptions{Epsilon: 0.2, Delta: 0.1, Seed: 5}
 	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
-	want, err := inst.Approximate(context.Background(), mode, q, ocqa.Tuple{}, opts)
+	want, err := inst.PrepareLazy().Approximate(context.Background(), mode, q, ocqa.Tuple{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +330,7 @@ func TestDeltaPlanRoutes(t *testing.T) {
 
 	// Cold + sampled cluster: delta-stratified.
 	pCold, qBig := stratifiedFixture(t)
-	plan, err := pCold.PlanApproximate(mode, qBig, true, opts)
+	plan, err := pCold.PlanApproximate(mode, qBig, ocqa.Tuple{}, true, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +350,7 @@ func TestDeltaPlanRoutes(t *testing.T) {
 		{qBig, ocqa.ApproxOptions{Epsilon: 0.2, Delta: 0.1, UseAA: true}, ocqa.RouteAA},
 		{qBig, ocqa.ApproxOptions{Epsilon: 0.2, Delta: 0.1, UseChernoff: true}, ocqa.RouteChernoff},
 	} {
-		plan, err := pCold.PlanApproximate(mode, tc.q, true, tc.opts)
+		plan, err := pCold.PlanApproximate(mode, tc.q, ocqa.Tuple{}, true, tc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,7 +365,7 @@ func TestDeltaPlanRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err = pWarm.PlanApproximate(mode, qBig, true, opts)
+	plan, err = pWarm.PlanApproximate(mode, qBig, ocqa.Tuple{}, true, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +385,7 @@ func TestDeltaPlanRoutes(t *testing.T) {
 		name string
 		p    *ocqa.Prepared
 	}{{"cold", pSmallCold}, {"warm", pSmall}} {
-		plan, err = gen.p.PlanApproximate(mode, qSmall, true, opts)
+		plan, err = gen.p.PlanApproximate(mode, qSmall, ocqa.Tuple{}, true, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,16 +436,10 @@ func TestDeltaExactAtScaleBeyondEnumeration(t *testing.T) {
 	}
 }
 
-// approximator is the single-tuple estimation surface Instance and
-// Prepared share.
-type approximator interface {
-	Approximate(context.Context, ocqa.Mode, *ocqa.Query, ocqa.Tuple, ocqa.ApproxOptions) (ocqa.Estimate, error)
-}
-
 // TestDeltaColdExactZeroDraws pins the cold delta-exact contract: on a
 // never-mutated instance, an M^ur or M^{ur,1} estimate whose clusters
 // all enumerate equals the exact probability rounded to float64, with
-// zero draws, through the bare Instance and a Prepared alike. The
+// zero draws, through a lazy and an eager Prepared alike. The
 // shapes cover several independent clusters, a coupled cluster, a
 // certain answer, an impossible witness and an absent tuple.
 func TestDeltaColdExactZeroDraws(t *testing.T) {
@@ -468,7 +464,7 @@ func TestDeltaColdExactZeroDraws(t *testing.T) {
 				t.Fatal(err)
 			}
 			want, _ := exact.Float64()
-			for _, a := range []approximator{inst, inst.Prepare()} {
+			for _, a := range []*ocqa.Prepared{inst.PrepareLazy(), inst.Prepare()} {
 				est, err := a.Approximate(context.Background(), mode, q, tc.tuple, ocqa.ApproxOptions{Seed: 3})
 				if err != nil {
 					t.Fatalf("%s %s @%v: %v", mode.Symbol(), tc.q, tc.tuple, err)
@@ -527,5 +523,81 @@ func TestDeltaColdStratified(t *testing.T) {
 	if again := run(); again.Value != est.Value || again.Samples != est.Samples {
 		t.Fatalf("same seed, different cold estimates: (%v, %d) vs (%v, %d)",
 			est.Value, est.Samples, again.Value, again.Samples)
+	}
+}
+
+// clusterFixture builds a primary-key instance for the query
+// Ans(x) :- T(x, k), R(k, v), S(k, v) under R: A1 -> A2 and
+// S: A1 -> A2. Each tuple x gets clusters[x] clusters: a fact T(x, k_i)
+// plus 64-fact R and S blocks on k_i, coupled into one cluster of 65²
+// outcomes — too many to enumerate, so each is a sampled stratum.
+// Tuple b has one witness T(b, m), R(m, u), S(m, u) of fixed facts and
+// is certain. The lazy prepare skips the sequence-sampler tables M^ur
+// never reads.
+func clusterFixture(t *testing.T, clusters map[string]int) (*ocqa.Prepared, *ocqa.Query) {
+	t.Helper()
+	var b strings.Builder
+	xs := make([]string, 0, len(clusters))
+	for x := range clusters {
+		xs = append(xs, x)
+	}
+	sort.Strings(xs)
+	for _, x := range xs {
+		for i := 0; i < clusters[x]; i++ {
+			k := fmt.Sprintf("%s%d", x, i)
+			fmt.Fprintf(&b, "T(%s,%s)\n", x, k)
+			for j := 0; j < 64; j++ {
+				fmt.Fprintf(&b, "R(%s,v%d)\nS(%s,v%d)\n", k, j, k, j)
+			}
+		}
+	}
+	b.WriteString("T(b,m)\nR(m,u)\nS(m,u)\n")
+	inst := mustInstance(t, b.String(), "R: A1 -> A2\nS: A1 -> A2")
+	return inst.PrepareLazy(), mustQuery(t, "Ans(x) :- T(x, k), R(k, v), S(k, v)")
+}
+
+// TestDeltaDeclinedAnswersPassDrawsNothing: an answers pass the product
+// form must decline (tuple z has more sampled strata than the
+// stratified estimator accepts) is declined before any stratum is
+// drawn, so the draws the engine performs are exactly the draws the
+// returned Accounting reports.
+func TestDeltaDeclinedAnswersPassDrawsNothing(t *testing.T) {
+	p, q := clusterFixture(t, map[string]int{"a": 2, "z": 17})
+	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
+	opts := ocqa.ApproxOptions{Epsilon: 0.3, Delta: 0.1, Seed: 3, Workers: 1}
+	before := engine.SamplesDrawn()
+	out, acct, err := p.ApproximateAnswers(context.Background(), mode, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drawn := engine.SamplesDrawn() - before
+	if len(out) != 3 {
+		t.Fatalf("%d answers, want 3 (a, b, z)", len(out))
+	}
+	if acct.Draws != drawn {
+		t.Fatalf("Accounting reports %d draws, the engine drew %d", acct.Draws, drawn)
+	}
+}
+
+// TestDeltaStratifiedAccounting: a delta-stratified estimate that draws
+// fresh samples reports the wall time and chunks of its stratum runs,
+// and the Prepared's usage totals advance by that wall time.
+func TestDeltaStratifiedAccounting(t *testing.T) {
+	p, q := stratifiedFixture(t)
+	before := p.Usage()
+	est, err := p.Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformRepairs}, q, ocqa.Tuple{},
+		ocqa.ApproxOptions{Epsilon: 0.2, Delta: 0.1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Acct.Draws == 0 {
+		t.Fatal("no fresh draws; the fixture must draw a stratum")
+	}
+	if est.Acct.WallNanos <= 0 || est.Acct.Chunks < 1 {
+		t.Fatalf("draws=%d but wall=%dns chunks=%d, want both positive",
+			est.Acct.Draws, est.Acct.WallNanos, est.Acct.Chunks)
+	}
+	if after := p.Usage(); after.WallNanos <= before.WallNanos {
+		t.Fatalf("Usage().WallNanos %d -> %d, want it to advance", before.WallNanos, after.WallNanos)
 	}
 }

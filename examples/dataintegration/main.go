@@ -82,7 +82,7 @@ func run(products int, eps, delta float64, out io.Writer) error {
 		{Gen: ocqa.UniformOperations},
 	} {
 		start := time.Now()
-		est, err := inst.Approximate(context.Background(), mode, q, ocqa.Tuple{}, ocqa.ApproxOptions{
+		est, err := inst.PrepareLazy().Approximate(context.Background(), mode, q, ocqa.Tuple{}, ocqa.ApproxOptions{
 			Epsilon: eps, Delta: delta, Seed: 7,
 		})
 		if err != nil {
@@ -100,7 +100,7 @@ func run(products int, eps, delta float64, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	answers, err := inst.ApproximateAnswers(context.Background(), ocqa.Mode{Gen: ocqa.UniformRepairs}, qp,
+	answers, _, err := inst.PrepareLazy().ApproximateAnswers(context.Background(), ocqa.Mode{Gen: ocqa.UniformRepairs}, qp,
 		ocqa.ApproxOptions{Epsilon: 2 * eps, Delta: 5 * delta, Seed: 11})
 	if err != nil {
 		return err

@@ -62,7 +62,7 @@ func main() {
 		{Gen: ocqa.UniformSequences},
 		{Gen: ocqa.UniformOperations},
 	} {
-		_, err := inst.Approximate(context.Background(), mode, q, ocqa.Tuple{}, ocqa.ApproxOptions{})
+		_, err := inst.PrepareLazy().Approximate(context.Background(), mode, q, ocqa.Tuple{}, ocqa.ApproxOptions{})
 		switch {
 		case err == nil:
 			fmt.Printf("%-8s accepted\n", mode.Symbol())
@@ -77,7 +77,7 @@ func main() {
 	mode := ocqa.Mode{Gen: ocqa.UniformOperations, Singleton: true}
 	status, cite := ocqa.Approximability(mode, inst.Class())
 	fmt.Printf("\n%s under %v: %v [%s]\n", mode.Symbol(), inst.Class(), status, cite)
-	est, err := inst.Approximate(context.Background(), mode, q, ocqa.Tuple{}, ocqa.ApproxOptions{
+	est, err := inst.PrepareLazy().Approximate(context.Background(), mode, q, ocqa.Tuple{}, ocqa.ApproxOptions{
 		Epsilon: 0.05, Delta: 0.01, Seed: 13,
 	})
 	if err != nil {
@@ -89,7 +89,7 @@ func main() {
 	// 3. The heuristic escape hatch: M^uo with pair deletions can still
 	//    be *sampled* (Lemma 7.2 needs no keys) — just without a
 	//    guarantee; Force acknowledges that.
-	estF, err := inst.Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformOperations}, q, ocqa.Tuple{},
+	estF, err := inst.PrepareLazy().Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformOperations}, q, ocqa.Tuple{},
 		ocqa.ApproxOptions{Epsilon: 0.05, Delta: 0.01, Seed: 17, Force: true})
 	if err != nil {
 		log.Fatal(err)

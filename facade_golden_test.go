@@ -99,7 +99,7 @@ func goldenApprox(ctx context.Context, p *ocqa.Prepared, mode ocqa.Mode, q *ocqa
 }
 
 func goldenAnswers(ctx context.Context, p *ocqa.Prepared, mode ocqa.Mode, q *ocqa.Query, opts ocqa.ApproxOptions, chunks bool) string {
-	out, acct, err := p.ApproximateAnswersAcct(ctx, mode, q, opts)
+	out, acct, err := p.ApproximateAnswers(ctx, mode, q, opts)
 	parts := make([]string, len(out))
 	for i, a := range out {
 		parts[i] = fmt.Sprintf("%v:%s %s", a.Tuple, renderFacadeEst(a.Estimate), renderFacadeAcct(a.Estimate.Acct, chunks))
@@ -108,7 +108,7 @@ func goldenAnswers(ctx context.Context, p *ocqa.Prepared, mode ocqa.Mode, q *ocq
 }
 
 func goldenMarginals(ctx context.Context, p *ocqa.Prepared, mode ocqa.Mode, opts ocqa.ApproxOptions) string {
-	vals, acct, err := p.ApproximateFactMarginalsAcct(ctx, mode, opts)
+	vals, acct, err := p.ApproximateFactMarginals(ctx, mode, opts)
 	h := fnv.New64a()
 	for _, v := range vals {
 		fmt.Fprintf(h, "%v\n", v)
@@ -157,17 +157,17 @@ func facadeGoldenCases() []facadeCase {
 				tag := fmt.Sprintf("%s/%s/w%d", mode.Symbol(), est, workers)
 				add("tuple/"+tag, func(t *testing.T) string {
 					p := small(t)
-					plan, perr := p.PlanApproximate(mode, qAns, true, opts)
+					plan, perr := p.PlanApproximate(mode, qAns, tupleB, true, opts)
 					return goldenApprox(bg, p, mode, qAns, tupleB, opts, chunks) + " " + renderFacadePlan(plan, perr)
 				})
 				add("bool/"+tag, func(t *testing.T) string {
 					p := small(t)
-					plan, perr := p.PlanApproximate(mode, qBool, true, opts)
+					plan, perr := p.PlanApproximate(mode, qBool, ocqa.Tuple{}, true, opts)
 					return goldenApprox(bg, p, mode, qBool, ocqa.Tuple{}, opts, chunks) + " " + renderFacadePlan(plan, perr)
 				})
 				add("answers/"+tag, func(t *testing.T) string {
 					p := small(t)
-					plan, perr := p.PlanApproximate(mode, qAns, false, opts)
+					plan, perr := p.PlanApproximate(mode, qAns, nil, false, opts)
 					return goldenAnswers(bg, p, mode, qAns, opts, chunks) + " " + renderFacadePlan(plan, perr)
 				})
 				add("cancelled-tuple/"+tag, func(t *testing.T) string {
@@ -185,7 +185,7 @@ func facadeGoldenCases() []facadeCase {
 			zeroOpts := goldenOpts("default", workers, 3_000)
 			add("zero-capped/"+tag, func(t *testing.T) string {
 				p := small(t)
-				plan, perr := p.PlanApproximate(mode, qZero, true, zeroOpts)
+				plan, perr := p.PlanApproximate(mode, qZero, ocqa.Tuple{}, true, zeroOpts)
 				return goldenApprox(bg, p, mode, qZero, ocqa.Tuple{}, zeroOpts, !productForm(mode, zeroOpts)) + " " + renderFacadePlan(plan, perr)
 			})
 			mopts := ocqa.ApproxOptions{Seed: 7, Workers: workers, MaxSamples: 5_000}
@@ -200,7 +200,7 @@ func facadeGoldenCases() []facadeCase {
 	add("zero-capped/ur/aa", func(t *testing.T) string {
 		opts := goldenOpts("aa", 1, 3_000)
 		p := small(t)
-		plan, perr := p.PlanApproximate(ocqa.Mode{Gen: ocqa.UniformRepairs}, qZero, true, opts)
+		plan, perr := p.PlanApproximate(ocqa.Mode{Gen: ocqa.UniformRepairs}, qZero, ocqa.Tuple{}, true, opts)
 		return goldenApprox(bg, p, ocqa.Mode{Gen: ocqa.UniformRepairs}, qZero, ocqa.Tuple{}, opts, true) + " " + renderFacadePlan(plan, perr)
 	})
 
@@ -242,7 +242,7 @@ func facadeGoldenCases() []facadeCase {
 			q := qc.q
 			add(qc.name+"/"+tag, func(t *testing.T) string {
 				p := strat(t)
-				plan, perr := p.PlanApproximate(mode, q, true, opts)
+				plan, perr := p.PlanApproximate(mode, q, ocqa.Tuple{}, true, opts)
 				out := "cold: " + goldenApprox(bg, p, mode, q, ocqa.Tuple{}, opts, false) + " " + renderFacadePlan(plan, perr)
 				out += " | again: " + goldenApprox(bg, p, mode, q, ocqa.Tuple{}, opts, false)
 				p, _, err := p.ApplyInsert(mustFact(t, "R(zz,w)"))
@@ -254,19 +254,19 @@ func facadeGoldenCases() []facadeCase {
 				if err != nil {
 					t.Fatal(err)
 				}
-				plan, perr = p.PlanApproximate(mode, q, true, opts)
+				plan, perr = p.PlanApproximate(mode, q, ocqa.Tuple{}, true, opts)
 				return out + " | touched: " + goldenApprox(bg, p, mode, q, ocqa.Tuple{}, opts, false) + " " + renderFacadePlan(plan, perr)
 			})
 		}
 		add("strat-answers/"+tag, func(t *testing.T) string {
 			p := strat(t)
-			plan, perr := p.PlanApproximate(mode, qStratAns, false, opts)
+			plan, perr := p.PlanApproximate(mode, qStratAns, nil, false, opts)
 			out := "cold: " + goldenAnswers(bg, p, mode, qStratAns, opts, false) + " " + renderFacadePlan(plan, perr)
 			p, _, err := p.ApplyInsert(mustFact(t, "R(b1,v64)"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan, perr = p.PlanApproximate(mode, qStratAns, false, opts)
+			plan, perr = p.PlanApproximate(mode, qStratAns, nil, false, opts)
 			return out + " | touched: " + goldenAnswers(bg, p, mode, qStratAns, opts, false) + " " + renderFacadePlan(plan, perr)
 		})
 		add("strat-cancelled/"+tag, func(t *testing.T) string {
@@ -277,7 +277,7 @@ func facadeGoldenCases() []facadeCase {
 			oopts := goldenOpts("default", workers, 20_000)
 			add(fmt.Sprintf("over-cap/%s/w%d", tag, workers), func(t *testing.T) string {
 				p := strat(t)
-				plan, perr := p.PlanApproximate(mode, qOver, true, oopts)
+				plan, perr := p.PlanApproximate(mode, qOver, ocqa.Tuple{}, true, oopts)
 				return goldenApprox(bg, p, mode, qOver, ocqa.Tuple{}, oopts, true) + " " + renderFacadePlan(plan, perr)
 			})
 		}

@@ -508,7 +508,7 @@ func estimatorEnvelopes(cfg Config, rep *Report, logf func(string, ...any)) {
 					{Epsilon: eps, Delta: delta, Seed: seed, UseAA: true},       // 𝒜𝒜 optimal estimator
 					{Epsilon: eps, Delta: delta, Seed: seed, UseChernoff: true}, // FPRAS fixed-sample construction
 				} {
-					est, err := inst.Approximate(noCtx, ec.mode, ec.sc.Query, tup, opts)
+					est, err := inst.PrepareLazy().Approximate(noCtx, ec.mode, ec.sc.Query, tup, opts)
 					if err != nil {
 						fail("estimator error (opts %+v): %v", opts, err)
 						continue
@@ -533,7 +533,7 @@ func estimatorEnvelopes(cfg Config, rep *Report, logf func(string, ...any)) {
 					Seed:       cfg.Seed + int64(1000*ci+trial) + 41,
 					MaxSamples: 200_000,
 				}
-				ests, err := inst.ApproximateAnswers(noCtx, ec.mode, ec.sc.Query, opts)
+				ests, _, err := inst.PrepareLazy().ApproximateAnswers(noCtx, ec.mode, ec.sc.Query, opts)
 				if err != nil {
 					fail("multi estimator error: %v", err)
 					continue

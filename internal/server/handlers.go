@@ -630,7 +630,7 @@ func (s *Server) executeQuery(ctx context.Context, e *instanceEntry, req QueryRe
 			// on. Its approximability check is the one the execution below
 			// would perform, so a refusal here is the identical error.
 			endPlan := tr.StartSpan("plan")
-			pl, perr := p.PlanApproximate(m, q, single, opts)
+			pl, perr := p.PlanApproximate(m, q, c, single, opts)
 			endPlan()
 			if perr != nil {
 				return QueryResponse{}, toHTTPError(perr)
@@ -661,7 +661,7 @@ func (s *Server) executeQuery(ctx context.Context, e *instanceEntry, req QueryRe
 			// every candidate tuple (witness sets cached per query
 			// fingerprint on the prepared instance); req.Workers
 			// parallelises that single pass.
-			answers, acct, err := p.ApproximateAnswersAcct(ctx, m, q, opts)
+			answers, acct, err := p.ApproximateAnswers(ctx, m, q, opts)
 			if err != nil {
 				he := toHTTPError(err)
 				he.cost = costFromAcct(acct, time.Since(start))
@@ -862,7 +862,7 @@ func (s *Server) handleMarginals(w http.ResponseWriter, r *http.Request) {
 			if tr != nil {
 				ctx = ocqa.ContextWithTrace(ctx, tr)
 			}
-			vals, acct, err := p.ApproximateFactMarginalsAcct(ctx, m, ocqa.ApproxOptions{
+			vals, acct, err := p.ApproximateFactMarginals(ctx, m, ocqa.ApproxOptions{
 				Seed:       req.Seed,
 				MaxSamples: draws,
 				Workers:    workers,

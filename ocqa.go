@@ -438,82 +438,115 @@ func (in *Instance) checkApproximable(mode Mode, force bool) error {
 	}
 }
 
-// blockFor returns the prepared block sampler. Where none is prepared
-// (constraint classes other than primary keys) it constructs one per
-// call, and the construction's error explains a refusal.
-func (p *Prepared) blockFor(mode Mode) (*sampler.BlockSampler, error) {
-	if bs := p.blockSampler(); bs != nil {
-		return bs, nil
-	}
-	bs, err := sampler.NewBlockSampler(p.inner)
-	if err != nil {
-		return nil, fmt.Errorf("ocqa: %s sampler unavailable: %w", mode.Symbol(), err)
-	}
-	return bs, nil
+// addAcct folds the record of run b into a: draws, reused draws,
+// chunks and wall time add up, the worker count is the widest run's,
+// and the sum is cancelled if either run was.
+func addAcct(a, b Accounting) Accounting {
+	a.Draws += b.Draws
+	a.ReusedDraws += b.ReusedDraws
+	a.Chunks += b.Chunks
+	a.WallNanos += b.WallNanos
+	a.Workers = max(a.Workers, b.Workers)
+	a.Cancelled = a.Cancelled || b.Cancelled
+	return a
 }
 
-// sequenceFor is blockFor for the sequence sampler of the mode's
-// operation space.
-func (p *Prepared) sequenceFor(mode Mode) (*sampler.SequenceSampler, error) {
-	if ss := p.seqSampler(mode.Singleton); ss != nil {
-		return ss, nil
-	}
-	ss, err := sampler.NewSequenceSampler(p.inner, mode.Singleton)
-	if err != nil {
-		return nil, fmt.Errorf("ocqa: %s sampler unavailable: %w", mode.Symbol(), err)
-	}
-	return ss, nil
+// approxRoute is the route of one approximate call, decided before
+// anything draws.
+type approxRoute struct {
+	// opts are the call's options with the defaults resolved.
+	opts ApproxOptions
+	// dq is set when the block product form answers (delta.go): tuples
+	// and targets then list the estimated tuples and their
+	// decompositions in output order, and strata is the most sampled
+	// strata of any target. nil sends the call to the whole-instance
+	// estimators.
+	dq      *deltaQuery
+	tuples  []Tuple
+	targets []deltaDecomp
+	strata  int
 }
 
-// Approximate estimates P_{M,Q}(D, c̄) by Monte Carlo over the paper's
-// polynomial-time samplers. It refuses (mode, class) pairs whose status
-// is StatusOpen or StatusNoFPRAS, and StatusHeuristic pairs unless
-// opts.Force is set; the error cites the relevant theorem.
-//
-// The estimation loop checks ctx between sample chunks: a cancelled or
-// expired context stops the draws within one chunk per worker and
-// returns the context's error (wrapped; match with errors.Is against
-// context.Canceled / context.DeadlineExceeded).
-//
-// It is Prepared.Approximate on a lazy prepare (PrepareLazy), so the
-// two answer identically by construction, routing included.
-func (in *Instance) Approximate(ctx context.Context, mode Mode, q *Query, c Tuple, opts ApproxOptions) (Estimate, error) {
-	return in.PrepareLazy().Approximate(ctx, mode, q, c, opts)
+// route decides how an approximate call runs; PlanApproximate,
+// Approximate and ApproximateAnswers all take it, so a plan describes
+// the run it precedes. It resolves the option defaults, enforces the
+// approximability matrix, and tests the product form: M^ur under
+// primary keys with the default stopping-rule estimator (the Chernoff
+// and 𝒜𝒜 constructions keep their own semantics), a fingerprint under
+// the witness cap, and no target with more than deltaMaxSampledStrata
+// sampled strata. With single set the one target is c; otherwise the
+// targets are the candidate tuples of the shared answers pass and c is
+// ignored. Nothing draws before the route is decided, so a pass the
+// product form declines has drawn no stratum.
+func (p *Prepared) route(mode Mode, q *Query, c Tuple, single bool, opts ApproxOptions) (approxRoute, error) {
+	opts.fill()
+	r := approxRoute{opts: opts}
+	if err := p.checkApproximable(mode, opts.Force); err != nil {
+		return r, err
+	}
+	if !p.deltaEligible(mode) || opts.UseAA || opts.UseChernoff {
+		return r, nil
+	}
+	if single && len(c) != len(q.AnswerVars) {
+		// Arity mismatch: no witness can exist, so the one target's
+		// decomposition is empty and it estimates exactly 0.
+		r.dq, r.tuples, r.targets = &deltaQuery{}, []Tuple{c}, make([]deltaDecomp, 1)
+		return r, nil
+	}
+	dq := p.deltaQueryFor(q)
+	if dq.overflow {
+		return r, nil
+	}
+	dq.mu.Lock()
+	defer dq.mu.Unlock()
+	var wits [][]core.Witness
+	if single {
+		r.tuples, wits = []Tuple{c}, [][]core.Witness{dq.witsOf(c.Key())}
+	} else {
+		r.tuples, wits = dq.liveTuples()
+	}
+	r.targets = make([]deltaDecomp, len(wits))
+	for i, w := range wits {
+		r.targets[i] = p.decompose(w, mode.Singleton)
+		n := r.targets[i].sampled()
+		if n > deltaMaxSampledStrata {
+			return approxRoute{opts: opts}, nil
+		}
+		r.strata = max(r.strata, n)
+	}
+	r.dq = dq
+	return r, nil
 }
 
 // subsetDrawer returns a per-worker factory of repair drawers for the
 // mode: one call of the inner function draws one repair subset under
 // the mode's sampler. It is the sampling substrate shared by the
-// single-tuple and the multi-tuple estimation paths.
-func (p *Prepared) subsetDrawer(mode Mode) (func() func(*rand.Rand) rel.Subset, error) {
+// single-tuple and the multi-tuple estimation paths. The matrix admits
+// M^ur and M^us only under primary keys, where the prepared samplers
+// exist.
+func (p *Prepared) subsetDrawer(mode Mode) func() func(*rand.Rand) rel.Subset {
 	switch mode.Gen {
 	case UniformRepairs:
 		// One shared sampler: the block decomposition is immutable
 		// after construction and SampleRepair is concurrency-safe, so
 		// every worker draws from the same tables; only the rng is
 		// per-worker.
-		bs, err := p.blockFor(mode)
-		if err != nil {
-			return nil, err
-		}
+		bs := p.blockSampler()
 		return func() func(*rand.Rand) rel.Subset {
 			return func(rng *rand.Rand) rel.Subset { return bs.SampleRepair(rng, mode.Singleton) }
-		}, nil
+		}
 	case UniformSequences:
 		// The profile-traceback sampler draws the same uniform CRS
 		// distribution as Algorithm 1 with O(‖D‖) work per sample. Its
 		// DP tables are immutable after construction and safe to
 		// share; only the rng is per-worker.
-		ss, err := p.sequenceFor(mode)
-		if err != nil {
-			return nil, err
-		}
+		ss := p.seqSampler(mode.Singleton)
 		return func() func(*rand.Rand) rel.Subset {
 			return func(rng *rand.Rand) rel.Subset {
 				_, res := ss.Sample(rng)
 				return res
 			}
-		}, nil
+		}
 	default:
 		// The walker carries per-walk mutable state, so each worker
 		// receives its own instance via the factory; construction only
@@ -523,17 +556,23 @@ func (p *Prepared) subsetDrawer(mode Mode) (func() func(*rand.Rand) rel.Subset, 
 			return func(rng *rand.Rand) rel.Subset {
 				return walker.WalkResult(rng, mode.Singleton)
 			}
-		}, nil
+		}
 	}
 }
 
-// approximate is the whole-instance estimation of one target.
-func (p *Prepared) approximate(ctx context.Context, mode Mode, q *Query, c Tuple, opts ApproxOptions) (Estimate, error) {
-	opts.fill()
-	if err := p.checkApproximable(mode, opts.Force); err != nil {
-		return Estimate{}, err
+// chernoffSamples is the fixed sample count of the Chernoff
+// construction on the paper's worst-case lower bound.
+func (p *Prepared) chernoffSamples(mode Mode, q *Query, opts ApproxOptions) (int, error) {
+	pmin := p.worstCaseLowerBound(mode, q)
+	if pmin <= 0 {
+		return 0, fmt.Errorf("ocqa: worst-case lower bound underflows for ‖D‖=%d, ‖Q‖=%d; use the stopping rule", p.db.Len(), q.Size())
 	}
+	return fpras.ChernoffSamples(opts.Epsilon, opts.Delta, pmin), nil
+}
 
+// approximate is the whole-instance estimation of one target, under
+// options route resolved.
+func (p *Prepared) approximate(ctx context.Context, mode Mode, q *Query, c Tuple, opts ApproxOptions) (Estimate, error) {
 	// Prefer the witness-image predicate: it avoids materialising a
 	// database per sample in the Monte-Carlo loop.
 	endCompile := engine.TraceFrom(ctx).StartSpan("compile")
@@ -541,11 +580,8 @@ func (p *Prepared) approximate(ctx context.Context, mode Mode, q *Query, c Tuple
 	if !ok {
 		pred = p.inner.EntailPred(q, c)
 	}
-	newSubset, err := p.subsetDrawer(mode)
+	newSubset := p.subsetDrawer(mode)
 	endCompile()
-	if err != nil {
-		return Estimate{}, err
-	}
 	newDraw := func() engine.Sampler {
 		draw := newSubset()
 		return func(rng *rand.Rand) bool { return pred(draw(rng)) }
@@ -555,13 +591,13 @@ func (p *Prepared) approximate(ctx context.Context, mode Mode, q *Query, c Tuple
 	opts.Workers = engine.ResolveWorkers(opts.Workers, p.parallelHint(), int64(opts.MaxSamples))
 
 	var est Estimate
+	var err error
 	switch {
 	case opts.UseChernoff:
-		pmin := p.worstCaseLowerBound(mode, q)
-		if pmin <= 0 {
-			return Estimate{}, fmt.Errorf("ocqa: worst-case lower bound underflows for ‖D‖=%d, ‖Q‖=%d; use the stopping rule", p.db.Len(), q.Size())
+		n, cerr := p.chernoffSamples(mode, q, opts)
+		if cerr != nil {
+			return Estimate{}, cerr
 		}
-		n := fpras.ChernoffSamples(opts.Epsilon, opts.Delta, pmin)
 		est, err = engine.EstimateFixed(ctx, newDraw, n, opts.Seed, opts.Workers)
 		est.Epsilon, est.Delta = opts.Epsilon, opts.Delta
 	case opts.UseAA:
@@ -594,49 +630,20 @@ func (in *Instance) worstCaseLowerBound(mode Mode, q *Query) float64 {
 	}
 }
 
-// ApproximateAnswers estimates the probability of every tuple of Q(D)
-// (the superset of all tuples with positive probability, by CQ
-// monotonicity) from ONE shared stream of repair draws: the tuples'
-// probabilities are defined over the same repair distribution, so each
-// drawn repair is evaluated against every candidate tuple's compiled
-// witness sets at once — K candidates cost one Monte-Carlo pass
-// (max over tuples of the per-tuple stopping point) instead of K
-// independent estimations, and one homomorphism enumeration at prepare
-// time instead of K+1. Estimates are deterministic in (Seed, Workers).
-// opts.MaxSamples caps the draws of the shared pass as a whole. With
-// opts.UseAA the per-tuple loop is retained (the three-phase 𝒜𝒜
-// estimator adapts its later phases to each target's own crude
-// estimate and variance, which is inherently single-target).
-// Cancelling ctx stops the shared pass within one sample chunk per
-// worker; like Approximate, the partial per-tuple estimates accompany
-// the wrapped context error. It is Prepared.ApproximateAnswers on a
-// lazy prepare.
-func (in *Instance) ApproximateAnswers(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, error) {
-	return in.PrepareLazy().ApproximateAnswers(ctx, mode, q, opts)
-}
-
-// approximateAnswers runs the shared-draw answers estimation over the
-// prepared samplers and the per-fingerprint witness-set cache; the
-// compile happens only once the approximability check passed, on the
-// shared-pass path alone (the per-tuple 𝒜𝒜 loop builds its own
-// single-tuple predicates and needs only the candidate list). The
-// returned Accounting is the run-level record of the shared pass, or
-// the per-tuple sum on the 𝒜𝒜 path.
+// approximateAnswers is the whole-instance answers estimation, under
+// options route resolved: one shared pass over the prepared samplers
+// and the per-fingerprint witness-set cache, whose compile happens on
+// this path alone. Under UseAA it is the per-tuple loop, which builds
+// its own single-tuple predicates and needs only the candidate list.
+// The returned Accounting is the run-level record of the shared pass,
+// or the per-tuple sum on the 𝒜𝒜 path.
 func (p *Prepared) approximateAnswers(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, Accounting, error) {
-	opts.fill()
-	if err := p.checkApproximable(mode, opts.Force); err != nil {
-		return nil, Accounting{}, err
-	}
 	if opts.UseAA {
 		var out []ApproxAnswer
 		var total Accounting
 		for _, c := range q.Answers(p.db) {
 			e, err := p.approximate(ctx, mode, q, c, opts)
-			total.Draws += e.Acct.Draws
-			total.Chunks += e.Acct.Chunks
-			total.WallNanos += e.Acct.WallNanos
-			total.Workers = max(total.Workers, e.Acct.Workers)
-			total.Cancelled = total.Cancelled || e.Acct.Cancelled
+			total = addAcct(total, e.Acct)
 			if err != nil {
 				return nil, total, err
 			}
@@ -651,11 +658,8 @@ func (p *Prepared) approximateAnswers(ctx context.Context, mode Mode, q *Query, 
 		endCompile()
 		return nil, Accounting{}, nil
 	}
-	newSubset, err := p.subsetDrawer(mode)
+	newSubset := p.subsetDrawer(mode)
 	endCompile()
-	if err != nil {
-		return nil, Accounting{}, err
-	}
 	newMulti := func() engine.MultiSampler {
 		draw := newSubset()
 		return func(rng *rand.Rand, out []bool, active []int) {
@@ -666,12 +670,12 @@ func (p *Prepared) approximateAnswers(ctx context.Context, mode Mode, q *Query, 
 	// pass has one pool for all targets.
 	opts.Workers = engine.ResolveWorkers(opts.Workers, p.parallelHint(), int64(opts.MaxSamples))
 	var ests []Estimate
+	var err error
 	if opts.UseChernoff {
-		pmin := p.worstCaseLowerBound(mode, q)
-		if pmin <= 0 {
-			return nil, Accounting{}, fmt.Errorf("ocqa: worst-case lower bound underflows for ‖D‖=%d, ‖Q‖=%d; use the stopping rule", p.db.Len(), q.Size())
+		n, cerr := p.chernoffSamples(mode, q, opts)
+		if cerr != nil {
+			return nil, Accounting{}, cerr
 		}
-		n := fpras.ChernoffSamples(opts.Epsilon, opts.Delta, pmin)
 		ests, err = engine.EstimateFixedMulti(ctx, newMulti, len(tuples), n, opts.Seed, opts.Workers)
 		for i := range ests {
 			ests[i].Epsilon, ests[i].Delta = opts.Epsilon, opts.Delta
@@ -881,10 +885,9 @@ const seqEagerMaxDeletable = 4096
 // when at most seqEagerMaxDeletable facts sit in conflict blocks —
 // their interleaving DP is quadratic in that count, so at scale it is
 // deferred to the first sequence-mode query instead. Other constraint
-// classes have no poly-time DP sampler to prepare, so only the
-// conflict structure (already built by NewInstance) is reused and
-// construction-on-demand still applies where the matrix allows
-// sampling at all.
+// classes have no poly-time DP sampler to prepare, and the matrix
+// admits no M^ur or M^us estimate there; only the conflict structure
+// (already built by NewInstance) is reused.
 func (in *Instance) Prepare() *Prepared {
 	p := in.PrepareLazy()
 	if bs := p.blockSampler(); bs != nil {
@@ -938,44 +941,76 @@ func (p *Prepared) seqSampler(singleton bool) *sampler.SequenceSampler {
 	return p.seq
 }
 
-// Approximate estimates P_{M,Q}(D, c̄) as documented on
-// Instance.Approximate, on the prepared samplers: for primary-key
-// instances it performs zero sampler constructions beyond the one
-// deferred build per artifact. Default stopping-rule estimates under
-// M^ur and M^{ur,1} with primary keys answer from the block product
-// form (delta.go), mutated or not: enumerable clusters contribute exact
-// factors with zero draws, larger clusters draw only their own blocks,
-// and after ApplyInsert/ApplyDelete the untouched strata's draws are
-// reused. The other modes, UseAA, UseChernoff and queries the
-// decomposition declines run the whole-instance estimators.
+// Approximate estimates P_{M,Q}(D, c̄) by Monte Carlo over the paper's
+// polynomial-time samplers. It refuses (mode, class) pairs whose status
+// is StatusOpen or StatusNoFPRAS, and StatusHeuristic pairs unless
+// opts.Force is set; the error cites the relevant theorem. It runs on
+// the prepared samplers: for primary-key instances it performs zero
+// sampler constructions beyond the one deferred build per artifact.
+//
+// Default stopping-rule estimates under M^ur and M^{ur,1} with primary
+// keys answer from the block product form (delta.go), mutated or not:
+// enumerable clusters contribute exact factors with zero draws, larger
+// clusters draw only their own blocks, and after
+// ApplyInsert/ApplyDelete the untouched strata's draws are reused. The
+// other modes, UseAA, UseChernoff and queries the decomposition
+// declines run the whole-instance estimators. PlanApproximate with the
+// same arguments describes the route taken.
+//
+// The estimation loop checks ctx between sample chunks: a cancelled or
+// expired context stops the draws within one chunk per worker and
+// returns the context's error (wrapped; match with errors.Is against
+// context.Canceled / context.DeadlineExceeded).
 func (p *Prepared) Approximate(ctx context.Context, mode Mode, q *Query, c Tuple, opts ApproxOptions) (Estimate, error) {
-	if est, ok, err := p.deltaApproximate(ctx, mode, q, c, opts); ok {
-		p.recordUsage(est.Acct)
-		return est, err
+	r, err := p.route(mode, q, c, true, opts)
+	if err != nil {
+		return Estimate{}, err
 	}
-	est, err := p.approximate(ctx, mode, q, c, opts)
+	var est Estimate
+	if r.dq != nil {
+		var out []ApproxAnswer
+		out, _, err = p.deltaRun(ctx, &r)
+		est = out[0].Estimate
+	} else {
+		est, err = p.approximate(ctx, mode, q, c, r.opts)
+	}
 	p.recordUsage(est.Acct)
 	return est, err
 }
 
-// ApproximateAnswers estimates every candidate answer as documented on
-// Instance.ApproximateAnswers, on the prepared samplers and the
-// per-fingerprint witness-set cache: repeated answers queries for the
-// same query perform zero sampler constructions and zero homomorphism
-// enumerations.
-func (p *Prepared) ApproximateAnswers(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, error) {
-	out, _, err := p.ApproximateAnswersAcct(ctx, mode, q, opts)
-	return out, err
-}
-
-// ApproximateAnswersAcct is ApproximateAnswers with the run-level cost
-// accounting of the shared pass (or the per-tuple sum under UseAA).
-func (p *Prepared) ApproximateAnswersAcct(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, Accounting, error) {
-	if out, acct, ok, err := p.deltaApproximateAnswers(ctx, mode, q, opts); ok {
-		p.recordUsage(acct)
-		return out, acct, err
+// ApproximateAnswers estimates the probability of every tuple of Q(D)
+// (the superset of all tuples with positive probability, by CQ
+// monotonicity) from ONE shared stream of repair draws: the tuples'
+// probabilities are defined over the same repair distribution, so each
+// drawn repair is evaluated against every candidate tuple's compiled
+// witness sets at once — K candidates cost one Monte-Carlo pass
+// (max over tuples of the per-tuple stopping point) instead of K
+// independent estimations, and one homomorphism enumeration per query
+// fingerprint, cached on the Prepared, instead of K+1. Estimates are
+// deterministic in (Seed, Workers). opts.MaxSamples caps the draws of
+// the shared pass as a whole. With opts.UseAA the per-tuple loop is
+// retained (the three-phase 𝒜𝒜 estimator adapts its later phases to
+// each target's own crude estimate and variance, which is inherently
+// single-target). Where Approximate would answer from the block product
+// form, every candidate does, unless one candidate's decomposition
+// declines, which sends the whole pass to the shared estimator.
+//
+// The returned Accounting is the run-level record of the shared pass,
+// or the per-tuple sum. Cancelling ctx stops the shared pass within one
+// sample chunk per worker; like Approximate, the partial per-tuple
+// estimates accompany the wrapped context error.
+func (p *Prepared) ApproximateAnswers(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, Accounting, error) {
+	r, err := p.route(mode, q, nil, false, opts)
+	if err != nil {
+		return nil, Accounting{}, err
 	}
-	out, acct, err := p.approximateAnswers(ctx, mode, q, opts)
+	var out []ApproxAnswer
+	var acct Accounting
+	if r.dq != nil {
+		out, acct, err = p.deltaRun(ctx, &r)
+	} else {
+		out, acct, err = p.approximateAnswers(ctx, mode, q, r.opts)
+	}
 	p.recordUsage(acct)
 	return out, acct, err
 }
@@ -994,22 +1029,6 @@ func (p *Prepared) ConsistentAnswers(mode Mode, q *Query, limit int) ([]Consiste
 		}
 	}
 	return p.inner.ConsistentAnswersWith(p.multiPred(q), mode, limit)
-}
-
-// ApproximateFactMarginals estimates every fact's survival probability
-// as documented on Instance.ApproximateFactMarginals, on the prepared
-// samplers.
-func (p *Prepared) ApproximateFactMarginals(ctx context.Context, mode Mode, opts ApproxOptions) ([]float64, error) {
-	out, _, err := p.ApproximateFactMarginalsAcct(ctx, mode, opts)
-	return out, err
-}
-
-// ApproximateFactMarginalsAcct is ApproximateFactMarginals with the
-// run's cost accounting.
-func (p *Prepared) ApproximateFactMarginalsAcct(ctx context.Context, mode Mode, opts ApproxOptions) ([]float64, Accounting, error) {
-	out, acct, err := p.approximateFactMarginals(ctx, mode, opts)
-	p.recordUsage(acct)
-	return out, acct, err
 }
 
 // CountRepairs reuses the prepared block decomposition where available.
@@ -1116,25 +1135,19 @@ func (in *Instance) FactMarginals(mode Mode, limit int) ([]FactMarginal, error) 
 // and the vectors are merged, so one drawn repair still updates every
 // fact's counter in a single pass and the result is deterministic in
 // (Seed, Workers). Cancelling ctx stops the draws within one chunk per
-// worker and returns the context's error. It is
-// Prepared.ApproximateFactMarginals on a lazy prepare.
-func (in *Instance) ApproximateFactMarginals(ctx context.Context, mode Mode, opts ApproxOptions) ([]float64, error) {
-	return in.PrepareLazy().ApproximateFactMarginals(ctx, mode, opts)
-}
-
-func (p *Prepared) approximateFactMarginals(ctx context.Context, mode Mode, opts ApproxOptions) ([]float64, Accounting, error) {
+// worker and returns the context's error. The Accounting is the run's
+// cost record.
+func (p *Prepared) ApproximateFactMarginals(ctx context.Context, mode Mode, opts ApproxOptions) ([]float64, Accounting, error) {
 	opts.fillMarginals()
 	if err := p.checkApproximable(mode, opts.Force); err != nil {
 		return nil, Accounting{}, err
 	}
 	endCompile := engine.TraceFrom(ctx).StartSpan("compile")
-	newCounter, always, err := p.countingDrawer(mode)
+	newCounter, always := p.countingDrawer(mode)
 	endCompile()
-	if err != nil {
-		return nil, Accounting{}, err
-	}
 	opts.Workers = engine.ResolveWorkers(opts.Workers, p.parallelHint(), int64(opts.MaxSamples))
 	counts, acct, err := engine.Marginals(ctx, newCounter, p.db.Len(), opts.MaxSamples, opts.Seed, opts.Workers)
+	p.recordUsage(acct)
 	if err != nil {
 		return nil, acct, fmt.Errorf("ocqa: marginal estimation stopped: %w", err)
 	}
@@ -1155,32 +1168,26 @@ func (p *Prepared) approximateFactMarginals(ctx context.Context, mode Mode, opts
 // survival counter of each of its facts — plus the indices of facts
 // that survive every repair (only the block-based M^ur drawer skips
 // those per draw; the other modes count them like any other fact).
-func (p *Prepared) countingDrawer(mode Mode) (func() engine.CountSampler, []int, error) {
+func (p *Prepared) countingDrawer(mode Mode) (func() engine.CountSampler, []int) {
 	switch mode.Gen {
 	case UniformRepairs:
 		// The block decomposition is shared across workers (immutable,
 		// concurrency-safe); fixed facts are hoisted out of the hot
 		// loop entirely, so a draw costs O(#blocks), not O(‖D‖).
-		bs, err := p.blockFor(mode)
-		if err != nil {
-			return nil, nil, err
-		}
+		bs := p.blockSampler()
 		return func() engine.CountSampler {
 			return func(rng *rand.Rand, counts []int) {
 				bs.AddRepairCounts(rng, mode.Singleton, counts)
 			}
-		}, bs.FixedIndices(), nil
+		}, bs.FixedIndices()
 	case UniformSequences:
-		ss, err := p.sequenceFor(mode)
-		if err != nil {
-			return nil, nil, err
-		}
+		ss := p.seqSampler(mode.Singleton)
 		return func() engine.CountSampler {
 			return func(rng *rand.Rand, counts []int) {
 				_, res := ss.Sample(rng)
 				res.AddTo(counts)
 			}
-		}, nil, nil
+		}, nil
 	default:
 		// The walker carries per-walk mutable state: one instance per
 		// worker via the factory.
@@ -1189,6 +1196,6 @@ func (p *Prepared) countingDrawer(mode Mode) (func() engine.CountSampler, []int,
 			return func(rng *rand.Rand, counts []int) {
 				walker.WalkAddCounts(rng, mode.Singleton, counts)
 			}
-		}, nil, nil
+		}, nil
 	}
 }

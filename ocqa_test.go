@@ -194,7 +194,7 @@ func TestApproximateMatchesExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		ef, _ := exact.Float64()
-		est, err := inst.Approximate(context.Background(), mode, q, c, ocqa.ApproxOptions{Epsilon: 0.08, Delta: 0.01, Seed: 7})
+		est, err := inst.PrepareLazy().Approximate(context.Background(), mode, q, c, ocqa.ApproxOptions{Epsilon: 0.08, Delta: 0.01, Seed: 7})
 		if err != nil {
 			t.Fatalf("%s: %v", mode.Symbol(), err)
 		}
@@ -220,21 +220,21 @@ func TestApproximateRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 	// M^ur with FDs: refused (Theorem 5.1(3)), even with Force.
-	_, err = inst.Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformRepairs}, q, ocqa.Tuple{}, ocqa.ApproxOptions{Force: true})
+	_, err = inst.PrepareLazy().Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformRepairs}, q, ocqa.Tuple{}, ocqa.ApproxOptions{Force: true})
 	if !errors.Is(err, ocqa.ErrNotApproximable) {
 		t.Errorf("ur+FDs: err = %v", err)
 	}
 	// M^us with FDs: refused (open).
-	_, err = inst.Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformSequences}, q, ocqa.Tuple{}, ocqa.ApproxOptions{})
+	_, err = inst.PrepareLazy().Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformSequences}, q, ocqa.Tuple{}, ocqa.ApproxOptions{})
 	if !errors.Is(err, ocqa.ErrNotApproximable) {
 		t.Errorf("us+FDs: err = %v", err)
 	}
 	// M^uo with FDs: refused without Force, allowed with Force.
-	_, err = inst.Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformOperations}, q, ocqa.Tuple{}, ocqa.ApproxOptions{})
+	_, err = inst.PrepareLazy().Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformOperations}, q, ocqa.Tuple{}, ocqa.ApproxOptions{})
 	if !errors.Is(err, ocqa.ErrNotApproximable) {
 		t.Errorf("uo+FDs unforced: err = %v", err)
 	}
-	est, err := inst.Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformOperations}, q, ocqa.Tuple{}, ocqa.ApproxOptions{Force: true, Seed: 3})
+	est, err := inst.PrepareLazy().Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformOperations}, q, ocqa.Tuple{}, ocqa.ApproxOptions{Force: true, Seed: 3})
 	if err != nil {
 		t.Errorf("uo+FDs forced: %v", err)
 	} else {
@@ -244,7 +244,7 @@ func TestApproximateRefusals(t *testing.T) {
 		}
 	}
 	// M^{uo,1} with FDs: FPRAS (Theorem 7.5) — allowed without Force.
-	if _, err := inst.Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformOperations, Singleton: true}, q, ocqa.Tuple{}, ocqa.ApproxOptions{Seed: 4}); err != nil {
+	if _, err := inst.PrepareLazy().Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformOperations, Singleton: true}, q, ocqa.Tuple{}, ocqa.ApproxOptions{Seed: 4}); err != nil {
 		t.Errorf("uo,1+FDs: %v", err)
 	}
 }
@@ -259,7 +259,7 @@ func TestApproximateChernoffMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := inst.Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformRepairs}, q, ocqa.Tuple{},
+	est, err := inst.PrepareLazy().Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformRepairs}, q, ocqa.Tuple{},
 		ocqa.ApproxOptions{Epsilon: 0.2, Delta: 0.1, Seed: 5, UseChernoff: true, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +279,7 @@ func TestApproximateAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := inst.ApproximateAnswers(context.Background(), ocqa.Mode{Gen: ocqa.UniformRepairs}, q, ocqa.ApproxOptions{Epsilon: 0.15, Delta: 0.05, Seed: 9})
+	ans, _, err := inst.PrepareLazy().ApproximateAnswers(context.Background(), ocqa.Mode{Gen: ocqa.UniformRepairs}, q, ocqa.ApproxOptions{Epsilon: 0.15, Delta: 0.05, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestApproximateEstimatorVariants(t *testing.T) {
 	}
 	ef, _ := exact.Float64()
 
-	aa, err := inst.Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformRepairs}, q, c,
+	aa, err := inst.PrepareLazy().Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformRepairs}, q, c,
 		ocqa.ApproxOptions{Epsilon: 0.08, Delta: 0.02, Seed: 21, UseAA: true})
 	if err != nil {
 		t.Fatal(err)
@@ -423,7 +423,7 @@ func TestApproximateEstimatorVariants(t *testing.T) {
 		t.Errorf("AA estimate %.4f vs exact %.4f", aa.Value, ef)
 	}
 
-	par, err := inst.Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformOperations}, q, c,
+	par, err := inst.PrepareLazy().Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformOperations}, q, c,
 		ocqa.ApproxOptions{Epsilon: 0.08, Delta: 0.02, Seed: 22, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -437,7 +437,7 @@ func TestApproximateEstimatorVariants(t *testing.T) {
 		t.Errorf("parallel estimate %.4f vs exact %.4f", par.Value, efUO)
 	}
 	// Parallel sequence sampling exercises the shared-DP path.
-	parSeq, err := inst.Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformSequences}, q, c,
+	parSeq, err := inst.PrepareLazy().Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformSequences}, q, c,
 		ocqa.ApproxOptions{Epsilon: 0.08, Delta: 0.02, Seed: 23, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -490,7 +490,7 @@ func TestApproximateFactMarginalsMatchExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		approx, err := inst.ApproximateFactMarginals(context.Background(), mode, ocqa.ApproxOptions{Seed: 31, MaxSamples: 40000})
+		approx, _, err := inst.PrepareLazy().ApproximateFactMarginals(context.Background(), mode, ocqa.ApproxOptions{Seed: 31, MaxSamples: 40000})
 		if err != nil {
 			t.Fatalf("%s: %v", mode.Symbol(), err)
 		}
@@ -512,7 +512,7 @@ func TestApproximateFactMarginalsRefusal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inst.ApproximateFactMarginals(context.Background(), ocqa.Mode{Gen: ocqa.UniformRepairs}, ocqa.ApproxOptions{}); !errors.Is(err, ocqa.ErrNotApproximable) {
+	if _, _, err := inst.PrepareLazy().ApproximateFactMarginals(context.Background(), ocqa.Mode{Gen: ocqa.UniformRepairs}, ocqa.ApproxOptions{}); !errors.Is(err, ocqa.ErrNotApproximable) {
 		t.Errorf("ur+FDs marginals: err = %v", err)
 	}
 	// Forced M^uo marginals approximate the exact ones.
@@ -520,7 +520,7 @@ func TestApproximateFactMarginalsRefusal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := inst.ApproximateFactMarginals(context.Background(), ocqa.Mode{Gen: ocqa.UniformOperations}, ocqa.ApproxOptions{Force: true, Seed: 37, MaxSamples: 40000})
+	approx, _, err := inst.PrepareLazy().ApproximateFactMarginals(context.Background(), ocqa.Mode{Gen: ocqa.UniformOperations}, ocqa.ApproxOptions{Force: true, Seed: 37, MaxSamples: 40000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +551,7 @@ func TestPreparedMatchesInstance(t *testing.T) {
 		{Gen: ocqa.UniformOperations},
 	} {
 		opts := ocqa.ApproxOptions{Seed: 17}
-		want, err := inst.Approximate(context.Background(), mode, q, ocqa.ParseTuple("b1"), opts)
+		want, err := inst.PrepareLazy().Approximate(context.Background(), mode, q, ocqa.ParseTuple("b1"), opts)
 		if err != nil {
 			t.Fatalf("%s: %v", mode.Symbol(), err)
 		}
@@ -563,11 +563,11 @@ func TestPreparedMatchesInstance(t *testing.T) {
 			t.Errorf("%s: prepared estimate %+v != instance estimate %+v", mode.Symbol(), got, want)
 		}
 
-		wantM, err := inst.ApproximateFactMarginals(context.Background(), mode, ocqa.ApproxOptions{Seed: 19, MaxSamples: 5000})
+		wantM, _, err := inst.PrepareLazy().ApproximateFactMarginals(context.Background(), mode, ocqa.ApproxOptions{Seed: 19, MaxSamples: 5000})
 		if err != nil {
 			t.Fatalf("%s marginals: %v", mode.Symbol(), err)
 		}
-		gotM, err := p.ApproximateFactMarginals(context.Background(), mode, ocqa.ApproxOptions{Seed: 19, MaxSamples: 5000})
+		gotM, _, err := p.ApproximateFactMarginals(context.Background(), mode, ocqa.ApproxOptions{Seed: 19, MaxSamples: 5000})
 		if err != nil {
 			t.Fatalf("%s prepared marginals: %v", mode.Symbol(), err)
 		}
@@ -611,7 +611,7 @@ func TestPreparedPerformsNoConstructions(t *testing.T) {
 		if _, err := p.Approximate(context.Background(), mode, q, ocqa.ParseTuple("b1"), ocqa.ApproxOptions{Seed: 23, Workers: 4}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.ApproximateFactMarginals(context.Background(), mode, ocqa.ApproxOptions{Seed: 23, MaxSamples: 2000}); err != nil {
+		if _, _, err := p.ApproximateFactMarginals(context.Background(), mode, ocqa.ApproxOptions{Seed: 23, MaxSamples: 2000}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -631,11 +631,11 @@ func TestPreparedPerformsNoConstructions(t *testing.T) {
 func TestApproximateFactMarginalsRespectsMaxSamples(t *testing.T) {
 	inst := figure2Instance(t)
 	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
-	small, err := inst.ApproximateFactMarginals(context.Background(), mode, ocqa.ApproxOptions{Seed: 29, MaxSamples: 100_000})
+	small, _, err := inst.PrepareLazy().ApproximateFactMarginals(context.Background(), mode, ocqa.ApproxOptions{Seed: 29, MaxSamples: 100_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := inst.ApproximateFactMarginals(context.Background(), mode, ocqa.ApproxOptions{Seed: 29, MaxSamples: 250_000})
+	large, _, err := inst.PrepareLazy().ApproximateFactMarginals(context.Background(), mode, ocqa.ApproxOptions{Seed: 29, MaxSamples: 250_000})
 	if err != nil {
 		t.Fatal(err)
 	}

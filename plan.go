@@ -141,18 +141,18 @@ func mulSaturating(a, b int64) int64 {
 }
 
 // PlanApproximate computes the plan for the approximate query the same
-// options would run: the route Approximate/ApproximateAnswers selects,
-// the worst-case draw budget for the requested (ε, δ), and whether the
-// run's MaxSamples cap truncates that budget (BudgetCapped — the
-// request is then not guaranteed reachable). single selects the
-// single-tuple path (a candidate tuple or a Boolean query) versus the
-// shared multi-target answers pass. The same approximability matrix is
-// enforced as on the execution paths.
-func (p *Prepared) PlanApproximate(mode Mode, q *Query, single bool, opts ApproxOptions) (QueryPlan, error) {
-	opts.fill()
-	if err := p.checkApproximable(mode, opts.Force); err != nil {
+// arguments would run: the route Approximate (single, for the target c)
+// or ApproximateAnswers (c ignored) takes — both decide it the same
+// way — the worst-case draw budget for the requested (ε, δ), and
+// whether the run's MaxSamples cap truncates that budget (BudgetCapped
+// — the request is then not guaranteed reachable). The same
+// approximability matrix is enforced as on the execution paths.
+func (p *Prepared) PlanApproximate(mode Mode, q *Query, c Tuple, single bool, opts ApproxOptions) (QueryPlan, error) {
+	r, err := p.route(mode, q, c, single, opts)
+	if err != nil {
 		return QueryPlan{}, err
 	}
+	opts = r.opts
 	plan := QueryPlan{
 		Targets: 1,
 		Blocks:  -1,
@@ -163,7 +163,10 @@ func (p *Prepared) PlanApproximate(mode Mode, q *Query, single bool, opts Approx
 	if bs := p.blockSampler(); bs != nil {
 		plan.Blocks = len(bs.Blocks())
 	}
-	if !single {
+	switch {
+	case r.dq != nil:
+		plan.Targets = len(r.targets)
+	case !single:
 		// The shared pass estimates every candidate answer tuple; the
 		// compiled target count comes from the same per-fingerprint
 		// cache the execution path reads, so planning a query warms the
@@ -226,28 +229,25 @@ func (p *Prepared) PlanApproximate(mode Mode, q *Query, single bool, opts Approx
 			}
 			return plan, nil
 		}
-	default:
-		if strata, ok := p.deltaPlanRoute(mode, q, opts); ok {
-			// The product form will answer (see Prepared.Approximate):
-			// delta-exact multiplies per-block factors with zero draws;
-			// delta-stratified draws at most its S strata, each under a
-			// (ε/S, δ/S) stopping rule.
-			if strata == 0 {
-				plan.Route = RouteDeltaExact
-				return plan, nil
-			}
-			plan.Route = RouteDeltaStratified
-			plan.MaxSamples = opts.MaxSamples
-			plan.Upsilon1 = upsilon1For(opts.Epsilon/float64(strata), opts.Delta/float64(strata))
-			// Coarse worst case across the S strata; runs that reuse
-			// carried statistics stop far below it.
-			if plan.PMin <= 0 {
-				plan.RequiredDraws = maxPlanDraws
-			} else {
-				plan.RequiredDraws = mulSaturating(saturatingDraws(plan.Upsilon1/plan.PMin), int64(strata))
-			}
-			break
+	case r.dq != nil && r.strata == 0:
+		// The product form multiplies per-block factors with zero
+		// draws.
+		plan.Route = RouteDeltaExact
+		return plan, nil
+	case r.dq != nil:
+		// The product form draws at most S strata per target, each
+		// under a (ε/S, δ/S) stopping rule.
+		plan.Route = RouteDeltaStratified
+		plan.MaxSamples = opts.MaxSamples
+		plan.Upsilon1 = upsilon1For(opts.Epsilon/float64(r.strata), opts.Delta/float64(r.strata))
+		// Coarse worst case across the S strata; runs that reuse
+		// carried statistics stop far below it.
+		if plan.PMin <= 0 {
+			plan.RequiredDraws = maxPlanDraws
+		} else {
+			plan.RequiredDraws = mulSaturating(saturatingDraws(plan.Upsilon1/plan.PMin), int64(r.strata))
 		}
+	default:
 		plan.Route = RouteDKLR
 		if !single {
 			plan.Route = RouteSharedMultiDKLR

@@ -52,7 +52,7 @@ func TestPlanEnvelopeOnScenarios(t *testing.T) {
 					}
 				}
 				single := len(sc.Query.AnswerVars) == 0
-				plan, err := p.PlanApproximate(mode, sc.Query, single, opts)
+				plan, err := p.PlanApproximate(mode, sc.Query, nil, single, opts)
 				if err != nil {
 					t.Fatalf("scenario %d: plan: %v", i, err)
 				}
@@ -65,7 +65,7 @@ func TestPlanEnvelopeOnScenarios(t *testing.T) {
 					}
 					acct, zeroEstimate, converged = est.Acct, est.Value == 0, est.Converged
 				} else {
-					answers, a, aerr := p.ApproximateAnswersAcct(ctx, mode, sc.Query, opts)
+					answers, a, aerr := p.ApproximateAnswers(ctx, mode, sc.Query, opts)
 					if aerr != nil {
 						t.Fatalf("scenario %d %s: %v", i, route, aerr)
 					}
@@ -139,7 +139,7 @@ func TestPlanBudgetCapped(t *testing.T) {
 	mode := ocqa.Mode{Gen: ocqa.UniformSequences}
 
 	tight := ocqa.ApproxOptions{Epsilon: 0.05, Delta: 0.01, MaxSamples: 100}
-	plan, err := p.PlanApproximate(mode, q, true, tight)
+	plan, err := p.PlanApproximate(mode, q, ocqa.Tuple{}, true, tight)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestPlanBudgetCapped(t *testing.T) {
 	}
 
 	roomy := ocqa.ApproxOptions{Epsilon: 0.4, Delta: 0.3, MaxSamples: ocqa.DefaultMaxSamples}
-	plan, err = p.PlanApproximate(mode, q, true, roomy)
+	plan, err = p.PlanApproximate(mode, q, ocqa.Tuple{}, true, roomy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +184,41 @@ func TestPlanRefusesLikeExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	// M^ur over general FDs has no FPRAS (Theorem 5.1(3)).
-	_, err = inst.Prepare().PlanApproximate(ocqa.Mode{Gen: ocqa.UniformRepairs}, q, true, ocqa.ApproxOptions{})
+	_, err = inst.Prepare().PlanApproximate(ocqa.Mode{Gen: ocqa.UniformRepairs}, q, ocqa.Tuple{}, true, ocqa.ApproxOptions{})
 	if err == nil {
 		t.Fatal("plan for a refused pair did not error")
+	}
+}
+
+// TestPlanSingleTupleRoute: a single-tuple plan describes that tuple's
+// route. Tuple b is certain and answers from the product form with
+// zero draws, even though tuple a's 17 sampled strata send a's own
+// estimate to the whole-instance stopping rule.
+func TestPlanSingleTupleRoute(t *testing.T) {
+	p, q := clusterFixture(t, map[string]int{"a": 17})
+	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
+	opts := ocqa.ApproxOptions{Epsilon: 0.2, Delta: 0.1, Seed: 5, MaxSamples: 200_000}
+	b := ocqa.Tuple{"b"}
+	plan, err := p.PlanApproximate(mode, q, b, true, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := p.Approximate(context.Background(), mode, q, b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Value != 1 || est.Acct.Draws != 0 {
+		t.Fatalf("P[b] = %v with %d draws, want 1 with 0 draws", est.Value, est.Acct.Draws)
+	}
+	if plan.Route != ocqa.RouteDeltaExact || plan.PredictedDraws != est.Acct.Draws {
+		t.Fatalf("plan for b: route %q predicting %d draws; the run drew %d on the product form",
+			plan.Route, plan.PredictedDraws, est.Acct.Draws)
+	}
+	aPlan, err := p.PlanApproximate(mode, q, ocqa.Tuple{"a"}, true, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if aPlan.Route != ocqa.RouteDKLR {
+		t.Fatalf("plan for a: route %q, want %q", aPlan.Route, ocqa.RouteDKLR)
 	}
 }
